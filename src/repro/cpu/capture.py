@@ -111,19 +111,11 @@ class CoreTape:
 class CaptureBundle:
     """A full platform capture: one :class:`CoreTape` per core plus meta."""
 
-    __slots__ = ("meta", "tapes", "vec_cache", "content_key")
+    __slots__ = ("meta", "tapes")
 
     def __init__(self, meta: dict, tapes: list[CoreTape]) -> None:
         self.meta = meta
         self.tapes = tapes
-        #: Lazy policy-independent SoA decode planes, owned by
-        #: :mod:`repro.cpu.replay_vec` and shared by every policy in a
-        #: sweep (invalidated per core on live tape extension).
-        self.vec_cache: dict | None = None
-        #: Content address of the artifact this bundle was loaded from
-        #: (set by the replay store), keying the worker-local plane cache;
-        #: ``None`` for a bundle built in-process.
-        self.content_key: str | None = None
 
 
 class PrivateCoreSim:
@@ -666,8 +658,6 @@ def capture_workload(
     warmup: int,
     master_seed: int = 0,
     slack: float | None = None,
-    *,
-    sim_cls=None,
 ) -> CaptureBundle:
     """Capture the private-level streams of one (workload, platform, seed).
 
@@ -676,14 +666,7 @@ def capture_workload(
     returns the bundle the replay kernel consumes.  Sources go through
     :func:`repro.trace.shared.make_source`, so shared trace buffers are
     replayed zero-copy when registered.
-
-    *sim_cls* swaps the per-core simulator (``PrivateCoreSim``-compatible
-    callable) — the hook :mod:`repro.cpu.capture_vec` uses to run the
-    identical driver (same meta, same boundaries, same checkpoints) on
-    the array-native kernel.
     """
-    if sim_cls is None:
-        sim_cls = PrivateCoreSim
     from repro.trace.shared import make_source
 
     if slack is None:
@@ -717,7 +700,7 @@ def capture_workload(
         source = make_source(name, geometry, core_id, master_seed)
         l1, l2, prefetcher = _fresh_private_level(meta, core_id)
         tape = CoreTape()
-        sim = sim_cls(
+        sim = PrivateCoreSim(
             l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape
         )
         boundaries = {n_cap}

@@ -23,13 +23,11 @@ fast path for single-job batches.
 
 Policy sweeps additionally run a once-per-platform private-level
 *capture* pass (:mod:`repro.runner.replaystore`) so every swept job can
-execute on the LLC-only replay kernel.  By default captures and sim jobs
-share one dependency-edged queue: each sweep's replays are submitted the
-moment *its* capture's manifest entry lands, so a slow capture never
-stalls unrelated sweeps, and sticky affinity routing keeps a sweep's
-capture and replays on one worker (warm decoded-plane and bundle
-caches).  ``REPRO_NO_PIPELINE`` restores the two-phase barrier flow;
-results are bit-identical either way.
+execute on the LLC-only replay kernel.  Captures and sim jobs share one
+dependency-edged queue: each sweep's replays are submitted the moment
+*its* capture's manifest entry lands, so a slow capture never stalls
+unrelated sweeps.  A batch with no sweep is the same queue with no
+capture jobs in it.
 
 Execution is *supervised* (:mod:`repro.runner.supervisor`): every miss
 is submitted as its own future and collected in completion order, so a
@@ -92,60 +90,28 @@ def _job_trace_identities(job: Job) -> list[tuple]:
     ]
 
 
-def pipelining_enabled() -> bool:
-    """Is the barrier-free capture→replay scheduler on (the default)?
-
-    ``REPRO_NO_PIPELINE`` (non-empty, not ``0``) restores the two-phase
-    barrier flow — every capture completes before any replay job is
-    submitted.  Results are bit-identical either way; only wall clock
-    differs.
-    """
-    return os.environ.get("REPRO_NO_PIPELINE", "").strip().lower() in ("", "0")
-
-
 def _counters_snapshot() -> dict:
     """Per-process cache counters the runner aggregates across workers."""
-    from repro.cpu.replay_vec import PLANE_STATS
     from repro.runner.replaystore import REGISTRY_STATS
 
-    return {
-        "plane_hits": PLANE_STATS["plane_hits"],
-        "plane_misses": PLANE_STATS["plane_misses"],
-        "bundle_loads": REGISTRY_STATS["bundle_loads"],
-    }
+    return dict(REGISTRY_STATS)
 
 
-def _execute_payload(task: tuple[dict, list[dict], list[dict], str, int]) -> dict:
-    """Worker entry point: dict in, dict out — nothing exotic crosses the pipe.
-
-    The shared-trace and replay-capture manifests ride along with every
-    payload; installing them is idempotent (mappings and bundles are
-    cached per path), so a worker reusing a process across tasks maps
-    each buffer once — and a *fresh* worker after a pool rebuild needs no
-    re-initialisation beyond its first task.  The job's cache key and
-    attempt number ride along too, for the fault-injection harness.
-
-    The wire dict carries a ``_counters`` delta (plane-cache hits/misses,
-    bundle loads) that the parent strips and folds into ``runner.stats``.
-    """
-    payload, manifest, replay_manifest, key, attempt = task
-    if manifest:
-        install_manifest(manifest)
-    install_replay_manifest(replay_manifest)
-    faults.maybe_fail(key, attempt, allow_exit=True)
-    before = _counters_snapshot()
-    result = job_from_dict(payload).execute().to_dict()
-    after = _counters_snapshot()
-    result["_counters"] = {name: after[name] - before[name] for name in after}
-    return result
-
-
-def _execute_task(task: tuple[str, object]) -> object:
-    """Worker entry point for the pipelined scheduler: tagged tasks.
+def _execute_task(task: tuple[str, tuple]) -> object:
+    """Worker entry point: one tagged ``("capture" | "sim", ...)`` task.
 
     One pool serves both job families, so a worker alternates freely
-    between ``("capture", ...)`` and ``("sim", ...)`` tasks as the
-    dependency-edged queue drains.
+    between captures and sims as the dependency-edged queue drains.  The
+    shared-trace (and, for sims, replay-capture) manifests ride along
+    with every task; installing them is idempotent (mappings and bundles
+    are cached per path), so a worker reusing a process across tasks
+    maps each buffer once — and a *fresh* worker after a pool rebuild
+    needs no re-initialisation beyond its first task.  The job's cache
+    key and attempt number ride along too, for the fault-injection
+    harness.
+
+    A sim's wire dict carries a ``_counters`` delta (bundle loads) that
+    the parent strips and folds into ``runner.stats``.
     """
     tag, inner = task
     if tag == "capture":
@@ -160,40 +126,20 @@ def _execute_task(task: tuple[str, object]) -> object:
             # manifest entry, never the batch — the affected sweep runs
             # on the fused kernel instead.
             return None
-    return _execute_payload(inner)
-
-
-def _execute_capture(task: tuple[dict, list[dict]]) -> dict | None:
-    """Worker entry point for one barrier-phase capture job.
-
-    Captures are scheduled ahead of the replay jobs that depend on them;
-    the shared-trace manifest is installed first so the capture pass
-    replays materialised trace buffers zero-copy instead of regenerating.
-    Replay is a pure optimisation, so *any* failure degrades to ``None``
-    — the affected sweep simply runs on the fused kernel.
-    """
-    payload, manifest = task
+    payload, manifest, replay_manifest, key, attempt = inner
     if manifest:
         install_manifest(manifest)
-    try:
-        return _materialise_capture(payload)
-    except Exception:
-        return None
+    install_replay_manifest(replay_manifest)
+    faults.maybe_fail(key, attempt, allow_exit=True)
+    before = _counters_snapshot()
+    result = job_from_dict(payload).execute().to_dict()
+    after = _counters_snapshot()
+    result["_counters"] = {name: after[name] - before[name] for name in after}
+    return result
 
 
 def _materialise_capture(payload: dict) -> dict:
-    """Run one capture job (in a worker or inline); returns its entry.
-
-    JIT-compiles any requested array-native backend first, while the
-    capture is the batch's critical path, so the first swept replay in
-    this worker doesn't pay the compilation stall.
-    """
-    from repro.cpu import capture_vec, replay_vec
-
-    if replay_vec.replay_vec_requested():
-        replay_vec.warm_backend()
-    if capture_vec.capture_vec_requested():
-        capture_vec.warm_backend()
+    """Run one capture job (in a worker or inline); returns its entry."""
     return ReplayStore(payload["root"]).materialise(
         tuple(payload["benchmarks"]),
         _config_from(payload["config"]),
@@ -251,12 +197,9 @@ class ParallelRunner:
         #: Lifetime counters: ``store_hits`` results re-read from disk,
         #: ``executed`` simulations completed (counted per job, as each
         #: finishes), ``failed`` jobs quarantined after retries, the
-        #: supervisor's ``retried``/``timeouts``/``pool_rebuilds`` and
-        #: sticky-routing ``sticky_hits``/``sticky_misses``, plus the
-        #: cache-affinity counters aggregated across workers:
-        #: ``bundle_loads`` (replay artifacts read from disk) and
-        #: ``plane_hits``/``plane_misses`` (decoded-plane cache, see
-        #: :mod:`repro.cpu.replay_vec`).
+        #: supervisor's ``retried``/``timeouts``/``pool_rebuilds``, and
+        #: ``bundle_loads`` (replay artifacts read from disk, aggregated
+        #: across workers).
         self.stats = {
             "store_hits": 0,
             "executed": 0,
@@ -264,10 +207,6 @@ class ParallelRunner:
             "retried": 0,
             "timeouts": 0,
             "pool_rebuilds": 0,
-            "sticky_hits": 0,
-            "sticky_misses": 0,
-            "plane_hits": 0,
-            "plane_misses": 0,
             "bundle_loads": 0,
         }
         #: Every quarantined job over the runner's lifetime, and the
@@ -325,8 +264,7 @@ class ParallelRunner:
             # Install in this process too: inline execution replays the
             # same buffers the pool workers map.
             install_manifest(manifest)
-        # One supervisor (and pool) serves both phases: the capture jobs
-        # warm the workers (imports, trace-buffer mmaps) for the batch.
+        # One supervisor (and pool) serves captures and sims alike.
         supervisor = Supervisor(
             workers=min(self.jobs, len(misses)) if len(misses) > 1 else 1,
             policy=self.retry,
@@ -334,18 +272,7 @@ class ParallelRunner:
         counters_before = _counters_snapshot()
         try:
             plan = self._plan_captures([job for _, job in misses])
-            if plan and pipelining_enabled():
-                # Barrier-free: capture and replay jobs share one
-                # dependency-edged queue — each sweep's replays are
-                # submitted the moment *its* capture's entry lands.
-                iterator = self._execute_pipelined(supervisor, misses, manifest, plan)
-            else:
-                # Two-phase barrier: capture jobs run ahead of every
-                # replay job (they need the trace manifest in workers).
-                replay_manifest = self._prepare_replays(plan, manifest, supervisor)
-                install_replay_manifest(replay_manifest)
-                iterator = self._execute(supervisor, misses, manifest, replay_manifest)
-            for key, job, outcome in iterator:
+            for key, job, outcome in self._execute(supervisor, misses, manifest, plan):
                 if isinstance(outcome, FailureRecord):
                     self.stats["failed"] += 1
                     self.failures.append(outcome)
@@ -375,37 +302,6 @@ class ParallelRunner:
 
     def run_one(self, job: Job):
         return self.run([job])[0]
-
-    def _execute(
-        self,
-        supervisor: Supervisor,
-        misses: list[tuple[str, Job]],
-        manifest: list[dict],
-        replay_manifest: list[dict],
-    ):
-        if not misses:
-            return iter(())
-
-        def decode(job, data):
-            counters = data.pop("_counters", None)
-            if counters:
-                for name, value in counters.items():
-                    self.stats[name] = self.stats.get(name, 0) + value
-            return job.result_from_dict(data)
-
-        return supervisor.run_jobs(
-            misses,
-            worker_fn=_execute_payload,
-            task_for=lambda key, job, attempt: (
-                job.to_dict(),
-                manifest,
-                replay_manifest,
-                key,
-                attempt,
-            ),
-            inline_fn=lambda key, job: job.execute(),
-            decode=decode,
-        )
 
     # -- shared traces -----------------------------------------------------------
 
@@ -526,28 +422,7 @@ class ParallelRunner:
             plan[ident] = payload
         return plan
 
-    def _prepare_replays(
-        self,
-        plan: dict[tuple, dict],
-        trace_manifest: list[dict],
-        supervisor: Supervisor,
-    ) -> list[dict]:
-        """Barrier-phase capture: run every planned capture to completion.
-
-        One capture job runs per swept identity, scheduled through the
-        batch's worker pool ahead of it (captures parallelise across
-        identities and warm the workers' buffer mappings), and the
-        resulting manifest makes every swept job execute on the
-        LLC-filtered replay kernel.  A failed capture costs its entry,
-        never the batch — the affected sweep runs on the fused kernel.
-        """
-        if not plan:
-            return []
-        tasks = [(payload, trace_manifest) for payload in plan.values()]
-        entries = supervisor.map_resilient(_execute_capture, tasks)
-        return [entry for entry in entries if entry]
-
-    def _execute_pipelined(
+    def _execute(
         self,
         supervisor: Supervisor,
         misses: list[tuple[str, Job]],
@@ -562,12 +437,6 @@ class ParallelRunner:
         flow freely around a slow (or hung, or crashed) capture.  Capture
         outcomes are folded into the growing replay manifest here and
         never surface to the caller; only sim outcomes are yielded.
-
-        Both job families carry the capture artifact's path as their
-        affinity token, so the supervisor's sticky routing lands a
-        sweep's capture *and* its replays on one worker — the worker that
-        decoded the bundle's planes keeps serving it (``plane_hits`` /
-        ``bundle_loads`` in :attr:`stats` make the reuse observable).
         """
         from repro.cpu.capture import replay_slack
         from repro.runner.replaystore import replay_key
@@ -575,15 +444,11 @@ class ParallelRunner:
 
         slack = replay_slack()
         capture_jobs: list[tuple[str, dict]] = []
-        routes: dict[tuple, tuple[str, str]] = {}
-        affinity: dict[str, str] = {}
+        routes: dict[tuple, str] = {}
         for identity, payload in plan.items():
-            key = replay_key(identity, slack)
-            ckey = f"capture:{key}"
-            token = str(ReplayStore(payload["root"]).path_for(key))
-            routes[identity] = (ckey, token)
+            ckey = f"capture:{replay_key(identity, slack)}"
+            routes[identity] = ckey
             capture_jobs.append((ckey, payload))
-            affinity[ckey] = token
         dependencies: dict[str, str] = {}
         for key, job in misses:
             if job.kind != "workload":
@@ -591,10 +456,9 @@ class ParallelRunner:
             identity = capture_identity(
                 job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
             )
-            route = routes.get(identity)
-            if route is not None:
-                dependencies[key] = route[0]
-                affinity[key] = route[1]
+            ckey = routes.get(identity)
+            if ckey is not None:
+                dependencies[key] = ckey
         capture_keys = {ckey for ckey, _ in capture_jobs}
         replay_manifest: list[dict] = []
 
@@ -626,7 +490,6 @@ class ParallelRunner:
             inline_fn=inline_fn,
             decode=decode,
             dependencies=dependencies,
-            affinity=affinity,
         ):
             if key in capture_keys:
                 # A FailureRecord or None here only costs the sweep its

@@ -186,14 +186,7 @@ class ReplayStore:
         warmup: int,
         master_seed: int,
     ) -> dict:
-        """Capture (or find) one artifact; returns its manifest entry.
-
-        A fresh capture runs on the kernel :func:`repro.sim.multi.
-        capture_kernel` resolves — the array-native pass when
-        ``REPRO_CAPTURE_VEC`` is set (falling back to the scalar pass on
-        any kernel failure; artifacts are byte-identical either way, so
-        the fallback is invisible downstream).
-        """
+        """Capture (or find) one artifact; returns its manifest entry."""
         from repro.cpu.capture import capture_workload, replay_slack
         from repro.sim.build import capture_identity
 
@@ -208,22 +201,9 @@ class ReplayStore:
         if path.is_file():
             self.stats["reused"] += 1
         else:
-            bundle = None
-            from repro.cpu import capture_vec
-
-            if capture_vec.capture_vec_enabled():
-                try:
-                    bundle = capture_vec.capture_workload_vec(
-                        tuple(benchmarks), config, quota, warmup, master_seed, slack
-                    )
-                except Exception:
-                    # The scalar pass produces the identical artifact, so
-                    # a vec-kernel failure only costs the speedup.
-                    bundle = None
-            if bundle is None:
-                bundle = capture_workload(
-                    tuple(benchmarks), config, quota, warmup, master_seed, slack
-                )
+            bundle = capture_workload(
+                tuple(benchmarks), config, quota, warmup, master_seed, slack
+            )
             save_bundle(bundle, path)
             write_checksum(path)
             faults.corrupt_artifact("replay", path, path.name)
@@ -244,8 +224,8 @@ _BUNDLE_CACHE_LIMIT = 4
 
 #: Monotonic per-process counter of artifact loads from disk; the parallel
 #: runner ships per-task deltas back and aggregates them into
-#: ``runner.stats`` — under sticky affinity routing a sweep should load
-#: each artifact once per worker, not once per job.
+#: ``runner.stats`` — a sweep should load each artifact once per worker,
+#: not once per job.
 REGISTRY_STATS = {"bundle_loads": 0}
 
 
@@ -303,9 +283,6 @@ def active_replay_bundle(
                 quarantine(path, reason="replay unreadable")
             if bundle is not None:
                 REGISTRY_STATS["bundle_loads"] += 1
-                # Content address of the artifact: keys the worker-local
-                # decode-plane cache in :mod:`repro.cpu.replay_vec`.
-                bundle.content_key = Path(path).name
             _BUNDLES[path] = bundle
     else:
         _BUNDLES.move_to_end(path)

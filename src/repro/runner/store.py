@@ -131,7 +131,10 @@ class ResultStore:
         if not self.root.is_dir():
             return
         for path in sorted(self.root.glob("*/*.json")):
-            yield path.stem
+            # Only result files: ``traces/<key>.meta.json`` sidecars share
+            # the glob but not the ``<key[:2]>/<key>.json`` layout.
+            if self.path_for(path.stem) == path:
+                yield path.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())

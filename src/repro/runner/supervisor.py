@@ -22,19 +22,12 @@ explicit and bounded:
   supervisor degrades to inline execution in the parent, which cannot
   lose the batch.
 
-Two scheduling refinements serve the pipelined capture→replay flow:
-
-* **dependency edges** — :meth:`Supervisor.run_jobs` accepts a
-  ``dependencies`` map (job key → key of another job in the batch); a
-  dependent job is withheld until its dependency's outcome has been
-  *yielded*, success or quarantine alike (edges order work, they never
-  veto it), so the caller can fold the dependency's product into the
-  dependent's payload before it is built;
-* **sticky affinity routing** — with an ``affinity`` map (job key →
-  token) and two or more workers, the supervisor runs one single-worker
-  pool per slot and prefers the slot that last ran a token unless it is
-  overloaded, so process-local caches keyed by that token (decoded
-  replay planes, loaded bundles) stay hot across a sweep.
+**Dependency edges** serve the capture→replay flow:
+:meth:`Supervisor.run_jobs` accepts a ``dependencies`` map (job key →
+key of another job in the batch); a dependent job is withheld until its
+dependency's outcome has been *yielded*, success or quarantine alike
+(edges order work, they never veto it), so the caller can fold the
+dependency's product into the dependent's payload before it is built.
 
 Workers need no special re-initialisation after a rebuild: the shared
 trace and replay manifests ride along inside every task payload, so a
@@ -172,18 +165,8 @@ class Supervisor:
         self.workers = max(0, workers)
         self.policy = policy or RetryPolicy.from_env()
         self._pool: ProcessPoolExecutor | None = None
-        #: Sticky mode: one single-worker pool per slot index.
-        self._pools: dict[int, ProcessPoolExecutor] = {}
-        #: Affinity token -> the slot that last ran it.
-        self._affinity_home: dict[object, int] = {}
         self._degraded = self.workers <= 1
-        self.stats = {
-            "retried": 0,
-            "timeouts": 0,
-            "pool_rebuilds": 0,
-            "sticky_hits": 0,
-            "sticky_misses": 0,
-        }
+        self.stats = {"retried": 0, "timeouts": 0, "pool_rebuilds": 0}
 
     # -- pool lifecycle ----------------------------------------------------------
 
@@ -197,74 +180,20 @@ class Supervisor:
         return self._pool
 
     def shutdown(self, *, cancel: bool = False) -> None:
-        """Release every pool; *cancel* drops queued work instead of
-        draining it (the error path must not block behind a failing batch)."""
-        pools = [self._pool] if self._pool is not None else []
-        pools.extend(self._pools.values())
-        self._pool = None
-        self._pools.clear()
-        for pool in pools:
+        """Release the pool; *cancel* drops queued work instead of draining
+        it (the error path must not block behind a failing batch)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
             pool.shutdown(wait=not cancel, cancel_futures=cancel)
 
-    def _pool_at(self, idx: int) -> ProcessPoolExecutor:
-        """The executor for slot *idx* (``-1`` = the shared pool), lazily."""
-        if idx < 0:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-        pool = self._pools.get(idx)
-        if pool is None:
-            pool = self._pools[idx] = ProcessPoolExecutor(max_workers=1)
-        return pool
-
     def _discard_pool(self) -> None:
-        """Abandon the shared pool (broken, or holding a hung worker)."""
-        self._discard_at(-1)
-
-    def _discard_at(self, idx: int) -> None:
-        """Abandon one pool slot; too many rebuilds degrade to inline."""
-        if idx < 0:
-            pool, self._pool = self._pool, None
-        else:
-            pool = self._pools.pop(idx, None)
+        """Abandon the current pool (broken, or holding a hung worker)."""
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         self.stats["pool_rebuilds"] += 1
         if self.stats["pool_rebuilds"] > self.policy.max_pool_rebuilds:
             self._degraded = True
-
-    # -- capture-phase fan-out ---------------------------------------------------
-
-    def map_resilient(self, fn: Callable, tasks: list) -> list:
-        """Run *fn* over *tasks* through the pool; degrade, never raise.
-
-        Used for the capture phase: an exception costs one ``None`` entry
-        and a pool crash reroutes the remainder inline.  *fn* must be
-        safe to call in the parent process.
-        """
-        pool = self.pool
-        if pool is None or len(tasks) < 2:
-            return [fn(task) for task in tasks]
-        try:
-            futures = [pool.submit(fn, task) for task in tasks]
-        except BrokenProcessPool:
-            self._discard_pool()
-            return [fn(task) for task in tasks]
-        results: list = []
-        broken = False
-        for future, task in zip(futures, tasks):
-            if broken:
-                results.append(fn(task))
-                continue
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                broken = True
-                self._discard_pool()
-                results.append(fn(task))
-            except Exception:
-                results.append(None)
-        return results
 
     # -- supervised job execution ------------------------------------------------
 
@@ -277,7 +206,6 @@ class Supervisor:
         inline_fn: Callable[[str, object], object],
         decode: Callable[[object, object], object],
         dependencies: dict[str, str] | None = None,
-        affinity: dict[str, object] | None = None,
     ) -> Iterator[tuple[str, object, object]]:
         """Execute every ``(key, job)``; yield ``(key, job, outcome)`` in
         completion order, where *outcome* is a decoded result or a
@@ -293,13 +221,6 @@ class Supervisor:
         order work, they never veto it), so *task_for* runs after the
         caller has seen the dependency's product.  Edges pointing outside
         the batch (or at the job itself) are ignored.
-
-        *affinity* maps job keys to routing tokens.  With two or more
-        workers the supervisor then runs one single-worker pool per slot
-        and prefers the slot that last ran a token unless that slot holds
-        more than one job over the lightest (``sticky_hits`` /
-        ``sticky_misses`` in :attr:`stats` count the routing outcomes),
-        keeping per-process caches keyed by the token warm across a sweep.
         """
         keys = {key for key, _ in misses}
         deps = {
@@ -320,10 +241,8 @@ class Supervisor:
             for entry in blocked.pop(done_key, ()):
                 queue.append(entry)
 
-        sticky = bool(affinity) and self.workers >= 2
         waiting: list[tuple[float, str, object, int]] = []
-        # future -> [key, job, attempt, deadline, pool slot]
-        active: dict[Future, list] = {}
+        active: dict[Future, list] = {}  # future -> [key, job, attempt, deadline]
         while queue or waiting or active or blocked:
             if blocked and not (queue or waiting or active):
                 # Fail-open: a dangling edge (dependency yielded before
@@ -340,7 +259,8 @@ class Supervisor:
                     waiting = [entry for entry in waiting if entry[0] > now]
                     for _, key, job, attempt in due:
                         queue.append((key, job, attempt))
-            if self._degraded or self.workers <= 1:
+            pool = self.pool
+            if pool is None:
                 # Inline (or degraded) mode: one due job at a time, same
                 # retry/quarantine path, no preemption so no timeouts.
                 if queue:
@@ -356,27 +276,18 @@ class Supervisor:
                 elif waiting:
                     self._sleep_until(min(entry[0] for entry in waiting))
                 continue
-            loads: dict[int, int] = {}
-            for flight in active.values():
-                loads[flight[4]] = loads.get(flight[4], 0) + 1
-            broken_slot: int | None = None
+            broken = False
             while queue:
                 key, job, attempt = queue.popleft()
-                slot = self._route(key, affinity, loads) if sticky else -1
                 try:
-                    future = self._pool_at(slot).submit(
-                        worker_fn, task_for(key, job, attempt)
-                    )
+                    future = pool.submit(worker_fn, task_for(key, job, attempt))
                 except BrokenProcessPool:
                     queue.appendleft((key, job, attempt))
-                    broken_slot = slot
+                    broken = True
                     break
-                active[future] = [key, job, attempt, None, slot]
-                loads[slot] = loads.get(slot, 0) + 1
-            if broken_slot is not None:
-                self._requeue_in_flight(
-                    active, queue, charge_attempt=True, slot=broken_slot
-                )
+                active[future] = [key, job, attempt, None]
+            if broken:
+                self._requeue_in_flight(active, queue, charge_attempt=True)
                 continue
             if not active:
                 if waiting:
@@ -384,16 +295,15 @@ class Supervisor:
                 continue
             timeout = self._wait_timeout(active, waiting)
             done, _ = wait(set(active), timeout=timeout, return_when=FIRST_COMPLETED)
-            broken_slots: set[int] = set()
             for future in done:
-                key, job, attempt, _, slot = active.pop(future)
+                key, job, attempt, _ = active.pop(future)
                 exc = future.exception()
                 if exc is None:
                     yield key, job, decode(job, future.result())
                     release(key)
                     continue
                 if isinstance(exc, BrokenProcessPool):
-                    broken_slots.add(slot)
+                    broken = True
                     queue.append((key, job, attempt + 1))
                     continue
                 outcome = self._after_failure(key, attempt, "crash", repr(exc))
@@ -404,11 +314,8 @@ class Supervisor:
                 else:
                     yield key, job, outcome
                     release(key)
-            if broken_slots:
-                for slot in broken_slots:
-                    self._requeue_in_flight(
-                        active, queue, charge_attempt=True, slot=slot
-                    )
+            if broken:
+                self._requeue_in_flight(active, queue, charge_attempt=True)
                 continue
             if self.policy.job_timeout is None or not active:
                 continue
@@ -421,10 +328,8 @@ class Supervisor:
             if not expired:
                 continue
             self.stats["timeouts"] += len(expired)
-            hung_slots: set[int] = set()
             for future in expired:
-                key, job, attempt, _, slot = active.pop(future)
-                hung_slots.add(slot)
+                key, job, attempt, _ = active.pop(future)
                 future.cancel()
                 outcome = self._after_failure(
                     key,
@@ -439,12 +344,9 @@ class Supervisor:
                 else:
                     yield key, job, outcome
                     release(key)
-            # A hung worker cannot be reclaimed: abandon its pool, requeue
-            # every other in-flight job there without charging an attempt.
-            for slot in hung_slots:
-                self._requeue_in_flight(
-                    active, queue, charge_attempt=False, slot=slot
-                )
+            # A hung worker cannot be reclaimed: abandon the pool, requeue
+            # every other in-flight job without charging it an attempt.
+            self._requeue_in_flight(active, queue, charge_attempt=False)
 
     # -- internals ---------------------------------------------------------------
 
@@ -475,49 +377,23 @@ class Supervisor:
             timeout = soonest if timeout is None else min(timeout, soonest)
         return timeout
 
-    def _route(
-        self, key: str, affinity: dict[str, object], loads: dict[int, int]
-    ) -> int:
-        """Pick a single-worker pool slot for *key* under sticky routing.
-
-        The token's home slot wins while it holds at most one job more
-        than the lightest slot; past that the job migrates (and the token
-        re-homes), trading cache warmth for load balance.  A job without
-        a token always takes the lightest slot.
-        """
-        token = affinity.get(key)
-        slots = range(self.workers)
-        least = min(slots, key=lambda i: loads.get(i, 0))
-        if token is None:
-            return least
-        home = self._affinity_home.get(token)
-        if home is not None and loads.get(home, 0) <= loads.get(least, 0) + 1:
-            self.stats["sticky_hits"] += 1
-            return home
-        self._affinity_home[token] = least
-        self.stats["sticky_misses"] += 1
-        return least
-
     def _requeue_in_flight(
-        self, active: dict, queue: deque, *, charge_attempt: bool, slot: int = -1
+        self, active: dict, queue: deque, *, charge_attempt: bool
     ) -> None:
-        """Drain one pool's in-flight jobs back into the queue and rebuild it.
+        """Drain in-flight jobs back into the queue and rebuild the pool.
 
         After ``BrokenProcessPool`` the guilty job cannot be told apart
         from its innocent pool-mates (every in-flight future raises), so
         all are charged an attempt — the guilty job's counter is the one
         that matters for quarantine, and an innocent job's extra attempt
         only changes its backoff.  After a timeout nothing in flight is
-        guilty, so nothing is charged.  Only *slot*'s flights are touched:
-        in sticky mode the other single-worker pools are healthy.
+        guilty, so nothing is charged.
         """
-        for future, (key, job, attempt, _, flight_slot) in list(active.items()):
-            if flight_slot != slot:
-                continue
+        for future, (key, job, attempt, _) in list(active.items()):
             future.cancel()
             queue.append((key, job, attempt + 1 if charge_attempt else attempt))
-            del active[future]
-        self._discard_at(slot)
+        active.clear()
+        self._discard_pool()
 
     def _inline_attempt(
         self, inline_fn: Callable, key: str, job: object, attempt: int

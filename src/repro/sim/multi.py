@@ -8,7 +8,7 @@ expressed by passing a pre-built policy instance.
 
 from __future__ import annotations
 
-from repro.cpu import replay, replay_vec
+from repro.cpu import replay
 from repro.cpu.engine import MulticoreEngine
 from repro.policies.spec import policy_key
 from repro.sim.build import PolicyLike, build_hierarchy, build_sources
@@ -25,16 +25,12 @@ def kernel_selection() -> str:
 
     1. ``REPRO_NO_FASTPATH`` → ``"generic"`` (reference loop, everywhere);
     2. else ``REPRO_NO_REPLAY`` → ``"fast"`` (fused kernel, no replay);
-    3. else ``REPRO_REPLAY_VEC`` set → ``"replay_vec"`` (array-native
-       replay; the value picks the backend — see
-       :func:`repro.cpu.replay_vec.vec_backend`);
-    4. else → ``"replay"`` (scalar replay kernel).
+    3. else → ``"replay"`` (LLC-filtered replay kernel).
 
     ``REPRO_NO_SHARED_TRACES`` is orthogonal: it changes how trace
     buffers materialise, never which kernel runs.  Runs without a
     registered capture bundle (or failing replay eligibility) degrade
-    along the same order: ``replay_vec`` → ``replay`` → ``fast`` →
-    ``generic``.
+    along the same order: ``replay`` → ``fast`` → ``generic``.
     """
     from repro.cpu.fastpath import fastpath_enabled
 
@@ -42,39 +38,7 @@ def kernel_selection() -> str:
         return "generic"
     if not replay.replay_enabled():
         return "fast"
-    if replay_vec.replay_vec_requested():
-        return "replay_vec"
     return "replay"
-
-
-def capture_kernel() -> str:
-    """The kernel a capture pass resolves to, by precedence.
-
-    Captures only exist while the replay mechanism is live, so the
-    resolution rides on the same kill-switch family (machine-checked in
-    ``tests/sim/test_kernel_selection.py``):
-
-    1. ``REPRO_NO_FASTPATH`` or ``REPRO_NO_REPLAY`` → ``"none"`` (no
-       capture pass runs at all — sweeps re-simulate on the fused or
-       generic loop);
-    2. else ``REPRO_CAPTURE_VEC`` set → ``"capture_vec"`` (array-native
-       capture; the value picks the backend — see
-       :func:`repro.cpu.capture_vec.vec_backend`, which mirrors the
-       replay_vec semantics: ``numpy`` forces the fallback, anything
-       else uses numba exactly when importable);
-    3. else → ``"capture"`` (scalar capture pass).
-
-    Either capture kernel emits byte-identical artifacts (proven by the
-    golden capture differential), so the choice never changes which
-    replay kernel a sweep's jobs select, nor any simulation result.
-    """
-    if not replay.replay_enabled():
-        return "none"
-    from repro.cpu import capture_vec
-
-    if capture_vec.capture_vec_requested():
-        return "capture_vec"
-    return "capture"
 
 
 def run_workload(
@@ -114,10 +78,7 @@ def run_workload(
             workload.benchmarks, config, quota, warmup, master_seed
         )
         if bundle is not None:
-            if replay_vec.replay_vec_requested():
-                snapshots = replay_vec.run_replay_vec(engine, bundle, finalize=False)
-            if snapshots is None:
-                snapshots = replay.run_replay(engine, bundle, finalize=False)
+            snapshots = replay.run_replay(engine, bundle, finalize=False)
     if snapshots is None:
         snapshots = engine.run()
     return WorkloadResult(

@@ -104,15 +104,6 @@ class TestKernelDifferential:
         problems = compare_records(fast, replayed)
         assert not problems, "\n".join(problems)
 
-    def test_replay_vec_equals_fast(self, policy, workload, benchmarks, platform):
-        """Capture + array-native replay (vectorised clock walks, SoA
-        event decode, batched SHiP signatures) reproduces the fused
-        kernel record for record — closing the 4-way kernel matrix."""
-        fast = run_case(policy, benchmarks, platform=platform)
-        vec = run_case(policy, benchmarks, platform=platform, kernel="replay_vec")
-        problems = compare_records(fast, vec)
-        assert not problems, "\n".join(problems)
-
 
 #: One policy per inline family, matching the prefetch-platform pinning
 #: rationale: the replay event path is policy-independent beyond the hook
@@ -147,12 +138,7 @@ class TestKernelDifferentialScaling:
         generic = run_case(policy, benchmarks, kernel="generic", **kwargs)
         fast = run_case(policy, benchmarks, kernel="fast", **kwargs)
         replayed = run_case(policy, benchmarks, kernel="replay", **kwargs)
-        vec = run_case(policy, benchmarks, kernel="replay_vec", **kwargs)
-        problems = (
-            compare_records(generic, fast)
-            + compare_records(fast, replayed)
-            + compare_records(fast, vec)
-        )
+        problems = compare_records(generic, fast) + compare_records(fast, replayed)
         assert not problems, "\n".join(problems)
 
 

@@ -150,16 +150,16 @@ def test_config_hash_unaffected_by_kernel_selection(
     results_dir, tmp_path, monkeypatch
 ):
     """Kernel selection is invisible to the snapshot identity: a sweep
-    executed through the array-native replay kernel produces the same
+    executed on the fused kernel (replay disabled) produces the same
     ``config_hash`` — and, the kernels being bit-identical, the same
-    policy rows — as the committed default-kernel run.  The committed
+    policy rows — as the default replay-kernel run.  The committed
     ``BENCH_tournament.json`` therefore stays comparable whichever
     kernel ran it, and must *not* be regenerated for a kernel change."""
     baseline = build_snapshot(
         report_from_store(ResultStore(results_dir), n_resamples=100)
     )
-    monkeypatch.setenv("REPRO_REPLAY_VEC", "1")
-    out = tmp_path / "vec-store"
+    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+    out = tmp_path / "fused-store"
     run = run_tournament(
         SystemConfig.scaled(4),
         policies=("lru", "tadrrip"),
@@ -170,10 +170,10 @@ def test_config_hash_unaffected_by_kernel_selection(
         settings=TINY,
     )
     assert run.executed > 0  # a fresh store: nothing came from cache
-    vec = build_snapshot(report_from_store(ResultStore(out), n_resamples=100))
-    assert vec["config_hash"] == baseline["config_hash"]
-    assert vec["run_id"] == baseline["run_id"]
-    assert vec["policies"] == baseline["policies"]
+    fused = build_snapshot(report_from_store(ResultStore(out), n_resamples=100))
+    assert fused["config_hash"] == baseline["config_hash"]
+    assert fused["run_id"] == baseline["run_id"]
+    assert fused["policies"] == baseline["policies"]
 
 
 def test_snapshot_round_trip_and_regression(results_dir):

@@ -70,6 +70,31 @@ class TestParallelMatchesSequential:
             direct = run_alone(benchmark, tiny_config, quota=1000, warmup=300)
             assert pooled.result(benchmark) == direct
 
+    def test_mixed_sweep_and_alone_batch_pooled_matches_inline(self, tiny_config):
+        # One execution path serves every batch shape: a 2-policy sweep
+        # (capture + dependent replays) and unswept alone jobs share one
+        # pool and one dependency-edged queue.
+        workload = SETTINGS.suite(4)[0]
+        jobs = [
+            WorkloadJob.for_workload(
+                workload, tiny_config, policy, quota=400, warmup=100, master_seed=0
+            )
+            for policy in ("lru", "tadrrip")
+        ] + [
+            AloneJob(name, tiny_config, "lru", quota=400, warmup=100, master_seed=0)
+            for name in ("lbm", "bzip")
+        ]
+        with ParallelRunner(jobs=1) as runner:
+            inline = runner.run(jobs)
+        with ParallelRunner(jobs=2) as runner:
+            pooled = runner.run(jobs)
+        assert runner.stats["executed"] == len(jobs)
+        assert runner.stats["failed"] == 0
+        # The sweep ran on the replay kernel: its artifact was loaded.
+        assert runner.stats["bundle_loads"] >= 1
+        assert pooled == inline
+        assert all(result is not None for result in pooled)
+
     def test_alone_baselines_shared_across_core_counts(self, tiny_config):
         # run_alone always simulates one core, so suites that differ only
         # in core count must derive the same baseline cache keys.

@@ -53,6 +53,16 @@ class TestResultStore:
         assert store.path_for("aa111").parent.name == "aa"
         assert sorted(store.keys()) == ["aa111", "bb222"]
 
+    def test_trace_sidecars_are_not_results(self, store):
+        # Shared-trace buffers keep ``traces/<key>.meta.json`` sidecars
+        # under the store root; the ``*/*.json`` layout must not count them.
+        store.put("deadbeef", {"ok": True})
+        sidecar = store.root / "traces" / "x.meta.json"
+        sidecar.parent.mkdir(parents=True)
+        sidecar.write_text("{}")
+        assert list(store.keys()) == ["deadbeef"]
+        assert len(store) == 1
+
 
 class TestStoreEdgeCases:
     """Corruption, schema drift and crash-safety behave as cache misses."""

@@ -119,6 +119,21 @@ class TestPoolScheduling:
         assert outcomes == EXPECTED
         assert supervisor.stats["pool_rebuilds"] == 2  # 1 tolerated + the last straw
 
+    def test_one_pool_per_batch(self, monkeypatch):
+        from repro.runner import supervisor as supervisor_mod
+
+        created = []
+
+        class CountingPool(supervisor_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", CountingPool)
+        supervisor = Supervisor(workers=2, policy=FAST)
+        assert _run(supervisor, MISSES, _echo) == EXPECTED
+        assert created == [2]
+
     @pytest.mark.slow
     def test_wall_clock_timeout_fails_the_hung_job(self):
         supervisor = Supervisor(
@@ -156,40 +171,6 @@ class TestInlineScheduling:
         assert {k: v for k, v in outcomes.items() if k != "a"} == {
             "b": 4, "c": 6, "d": 8,
         }
-
-
-class TestMapResilient:
-    def test_exceptions_cost_one_none_entry(self):
-        supervisor = Supervisor(workers=2, policy=FAST)
-        try:
-            results = supervisor.map_resilient(
-                _map_probe, ["ok-1", "bad", "ok-2"]
-            )
-        finally:
-            supervisor.shutdown(cancel=True)
-        assert results == ["OK-1", None, "OK-2"]
-
-    def test_small_batches_run_inline(self):
-        supervisor = Supervisor(workers=2, policy=FAST)
-        try:
-            assert supervisor.map_resilient(_map_probe, ["solo"]) == ["SOLO"]
-        finally:
-            supervisor.shutdown(cancel=True)
-
-    def test_degraded_supervisor_runs_inline(self):
-        supervisor = Supervisor(workers=1, policy=FAST)
-        assert supervisor.map_resilient(_map_probe, ["x", "y"]) == ["X", "Y"]
-
-
-def _map_probe(task):
-    if task == "bad":
-        raise ValueError("injected")
-    return task.upper()
-
-
-def _pid_echo(task):
-    key, job, attempt = task
-    return {"value": os.getpid()}
 
 
 def _slow_cap(task):
@@ -325,69 +306,6 @@ class TestDependencyEdges:
             dependencies={"a": "b", "b": "a"},
         )
         assert dict(outcomes) == EXPECTED
-
-
-class TestStickyRouting:
-    def test_same_token_lands_on_one_worker(self):
-        # The capture→replay shape: dependency chains stagger each token's
-        # submissions, so the home slot is never overloaded and the whole
-        # chain sticks to the worker that ran its first link.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)]
-        affinity = {"a": "t1", "b": "t1", "c": "t1", "d": "t2", "e": "t2", "f": "t2"}
-        deps = {"b": "a", "c": "b", "e": "d", "f": "e"}
-        outcomes = dict(
-            _run_ordered(
-                supervisor, misses, _pid_echo, affinity=affinity, dependencies=deps
-            )
-        )
-        t1_pids = {outcomes[k] for k in ("a", "b", "c")}
-        t2_pids = {outcomes[k] for k in ("d", "e", "f")}
-        assert len(t1_pids) == 1 and len(t2_pids) == 1
-        assert t1_pids != t2_pids
-        # First job of each token homes it (miss); the rest stick (hit).
-        assert supervisor.stats["sticky_misses"] == 2
-        assert supervisor.stats["sticky_hits"] == 4
-
-    def test_overloaded_home_migrates(self):
-        # One token for the whole batch would idle the second slot; the
-        # load guard re-homes the token instead.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        affinity = {key: "t1" for key, _ in misses}
-        outcomes = dict(
-            _run_ordered(supervisor, misses, _pid_echo, affinity=affinity)
-        )
-        assert len(set(outcomes.values())) == 2  # both slots did work
-        assert supervisor.stats["sticky_misses"] >= 2
-
-    def test_affinity_is_inert_inline(self):
-        supervisor = Supervisor(workers=1, policy=FAST)
-        outcomes = _run_ordered(
-            supervisor, MISSES, _echo, affinity={"a": "t1", "b": "t1"}
-        )
-        assert dict(outcomes) == EXPECTED
-        assert supervisor.stats["sticky_hits"] == 0
-        assert supervisor.stats["sticky_misses"] == 0
-
-    def test_broken_sticky_slot_only_requeues_its_own(self):
-        # A worker death in one single-worker pool must not disturb the
-        # other slots' in-flight jobs.
-        supervisor = Supervisor(workers=2, policy=FAST)
-        misses = [("die-a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        affinity = {"die-a": "t1", "b": "t2", "c": "t2", "d": "t2"}
-        outcomes = dict(
-            _run_ordered(supervisor, misses, _die_key_a, affinity=affinity)
-        )
-        assert outcomes == {"die-a": 2, "b": 4, "c": 6, "d": 8}
-        assert supervisor.stats["pool_rebuilds"] >= 1
-
-
-def _die_key_a(task):
-    key, job, attempt = task
-    if key == "die-a" and attempt == 0:
-        os._exit(3)
-    return {"value": job * 2}
 
 
 class TestRetryPolicy:

@@ -1,15 +1,13 @@
 """Kill-switch precedence: every env combination picks one documented kernel.
 
-The four kernel-family switches — ``REPRO_NO_FASTPATH``,
-``REPRO_NO_REPLAY``, ``REPRO_REPLAY_VEC`` and ``REPRO_NO_SHARED_TRACES``
-— must resolve deterministically in the documented precedence order
-(generic beats fused beats array-native replay beats scalar replay;
-shared-trace materialisation is orthogonal).  This suite enumerates all
-sixteen combinations against :func:`repro.sim.multi.kernel_selection`,
-pins the value semantics of ``REPRO_REPLAY_VEC`` (off / auto / forced
-backend), and checks end to end that a replay-registered
-``run_workload`` produces identical results whichever kernel the
-switches resolve to.
+The three kernel-family switches — ``REPRO_NO_FASTPATH``,
+``REPRO_NO_REPLAY`` and ``REPRO_NO_SHARED_TRACES`` — must resolve
+deterministically in the documented precedence order (generic beats
+fused beats replay; shared-trace materialisation is orthogonal).  This
+suite enumerates all eight combinations against
+:func:`repro.sim.multi.kernel_selection` and checks end to end that a
+replay-registered ``run_workload`` produces identical results whichever
+kernel the switches resolve to.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from repro.cpu import capture_vec, replay, replay_vec
+from repro.cpu import replay
 from repro.cpu.fastpath import fastpath_enabled
 from repro.golden import golden_config
 from repro.runner.replaystore import (
@@ -26,17 +24,14 @@ from repro.runner.replaystore import (
     clear_replay_manifest,
     install_replay_manifest,
 )
-from repro.sim.multi import capture_kernel, kernel_selection, run_workload
+from repro.sim.multi import kernel_selection, run_workload
 from repro.trace.workloads import Workload
 
 FLAGS = (
     "REPRO_NO_FASTPATH",
     "REPRO_NO_REPLAY",
-    "REPRO_REPLAY_VEC",
     "REPRO_NO_SHARED_TRACES",
 )
-
-CAPTURE_FLAGS = ("REPRO_NO_FASTPATH", "REPRO_NO_REPLAY", "REPRO_CAPTURE_VEC")
 
 COMBOS = list(product((False, True), repeat=len(FLAGS)))
 COMBO_IDS = [
@@ -46,19 +41,17 @@ COMBO_IDS = [
 ]
 
 
-def _expected(no_fastpath, no_replay, vec, _no_shared_traces):
+def _expected(no_fastpath, no_replay, _no_shared_traces):
     if no_fastpath:
         return "generic"
     if no_replay:
         return "fast"
-    if vec:
-        return "replay_vec"
     return "replay"
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for flag in FLAGS + ("REPRO_CAPTURE_VEC",):
+    for flag in FLAGS:
         monkeypatch.delenv(flag, raising=False)
 
 
@@ -71,8 +64,7 @@ def test_every_combination_resolves_deterministically(combo, monkeypatch):
     # The predicates agree with the resolution.
     selected = kernel_selection()
     assert fastpath_enabled() == (selected != "generic")
-    assert replay.replay_enabled() == (selected in ("replay", "replay_vec"))
-    assert replay_vec.replay_vec_enabled() == (selected == "replay_vec")
+    assert replay.replay_enabled() == (selected == "replay")
 
 
 def test_shared_traces_switch_never_changes_the_kernel(monkeypatch):
@@ -84,102 +76,6 @@ def test_shared_traces_switch_never_changes_the_kernel(monkeypatch):
         without = kernel_selection()
         monkeypatch.setenv("REPRO_NO_SHARED_TRACES", "1")
         assert kernel_selection() == without
-
-
-class TestReplayVecValueSemantics:
-    @pytest.mark.parametrize("value", ["", "0"])
-    def test_off_values(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_VEC", value)
-        assert not replay_vec.replay_vec_requested()
-        assert kernel_selection() == "replay"
-
-    @pytest.mark.parametrize("value", ["1", "numpy", "numba", "on"])
-    def test_on_values(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_VEC", value)
-        assert replay_vec.replay_vec_requested()
-        assert kernel_selection() == "replay_vec"
-
-    def test_numpy_value_forces_the_fallback_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_VEC", "numpy")
-        assert replay_vec.vec_backend() == "numpy"
-
-    def test_stronger_switches_still_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_VEC", "1")
-        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-        assert not replay_vec.replay_vec_enabled()
-        assert kernel_selection() == "fast"
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert kernel_selection() == "generic"
-
-
-class TestCaptureKernelSelection:
-    """``capture_kernel()`` resolves its own switch with the same value
-    semantics as ``REPRO_REPLAY_VEC`` — and never changes which replay
-    kernel a swept job selects."""
-
-    CAPTURE_COMBOS = list(product((False, True), repeat=len(CAPTURE_FLAGS)))
-
-    @staticmethod
-    def _expected_capture(no_fastpath, no_replay, vec):
-        if no_fastpath or no_replay:
-            return "none"
-        return "capture_vec" if vec else "capture"
-
-    @pytest.mark.parametrize(
-        "combo",
-        CAPTURE_COMBOS,
-        ids=[
-            "+".join(f.replace("REPRO_", "") for f, on in zip(CAPTURE_FLAGS, c) if on)
-            or "none"
-            for c in CAPTURE_COMBOS
-        ],
-    )
-    def test_every_combination_resolves_deterministically(self, combo, monkeypatch):
-        for flag, on in zip(CAPTURE_FLAGS, combo):
-            if on:
-                monkeypatch.setenv(flag, "1")
-        assert capture_kernel() == self._expected_capture(*combo)
-        # The predicate agrees with the resolution.
-        assert capture_vec.capture_vec_enabled() == (capture_kernel() == "capture_vec")
-
-    @pytest.mark.parametrize("value", ["", "0"])
-    def test_off_values(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_VEC", value)
-        assert not capture_vec.capture_vec_requested()
-        assert capture_kernel() == "capture"
-
-    @pytest.mark.parametrize("value", ["1", "numpy", "numba", "on"])
-    def test_on_values(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_VEC", value)
-        assert capture_vec.capture_vec_requested()
-        assert capture_kernel() == "capture_vec"
-
-    def test_numpy_value_forces_the_fallback_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_VEC", "numpy")
-        assert capture_vec.vec_backend() == "numpy"
-
-    def test_backend_resolves_on_any_container(self, monkeypatch):
-        # "1" means "numba when importable": on a container without the
-        # [jit] extra the backend must quietly resolve to numpy, never
-        # raise — this is the degradation the nightly/local split relies on.
-        monkeypatch.setenv("REPRO_CAPTURE_VEC", "1")
-        backend = capture_vec.vec_backend()
-        assert backend in ("numpy", "numba")
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            assert backend == "numpy"
-
-    def test_capture_switch_never_changes_the_replay_kernel(self, monkeypatch):
-        for combo in COMBOS:
-            for flag, on in zip(FLAGS, combo):
-                monkeypatch.setenv(flag, "1") if on else monkeypatch.delenv(
-                    flag, raising=False
-                )
-            without = kernel_selection()
-            monkeypatch.setenv("REPRO_CAPTURE_VEC", "1")
-            assert kernel_selection() == without
-            monkeypatch.delenv("REPRO_CAPTURE_VEC")
 
 
 class TestRunWorkloadRouting:
@@ -205,25 +101,26 @@ class TestRunWorkloadRouting:
         entry = store.materialise(
             self.BENCHMARKS, config, self.QUOTA, self.WARMUP, 0
         )
+        replayed = []
+        run_replay = replay.run_replay
+
+        def spy(*args, **kwargs):
+            snapshots = run_replay(*args, **kwargs)
+            replayed.append(snapshots is not None)
+            return snapshots
+
+        monkeypatch.setattr(replay, "run_replay", spy)
         install_replay_manifest([entry])
         try:
-            baseline = self._run(config)  # scalar replay
-            monkeypatch.setenv("REPRO_REPLAY_VEC", "1")
-            vec = self._run(config)
-            # Observable proof the vec kernel ran: its decode-plane cache
-            # attached to the registered bundle during the run.
-            from repro.runner.replaystore import active_replay_bundle
-
-            bundle = active_replay_bundle(
-                self.BENCHMARKS, config, self.QUOTA, self.WARMUP, 0
-            )
-            assert bundle is not None and bundle.vec_cache is not None
+            baseline = self._run(config)
+            # Observable proof the replay kernel drove the baseline run.
+            assert replayed == [True]
             monkeypatch.setenv("REPRO_NO_REPLAY", "1")
             fused = self._run(config)
             monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
             generic = self._run(config)
         finally:
             clear_replay_manifest()
-        assert vec == baseline
+        assert replayed == [True]
         assert fused == baseline
         assert generic == baseline
