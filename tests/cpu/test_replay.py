@@ -92,6 +92,14 @@ class TestCapture:
         assert engine.hierarchy.llc.stats.snapshot() == fused.hierarchy.llc.stats.snapshot()
         assert engine.hierarchy.l1s[0].stats.demand_hits[0] == 0
 
+    def test_one_bundle_serves_a_policy_sweep(self):
+        # The sweep shape: one capture, replayed policy after policy (live
+        # tail extensions accumulating in the shared bundle).
+        shared = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
+        for policy in ("lru", "ship", "eaf", "adapt_bp32", "tadrrip+bp"):
+            expected = _engine(policy).run()
+            assert run_replay(_engine(policy), shared) == expected, policy
+
 
 class TestEligibility:
     def test_quota_mismatch_falls_back(self, bundle):
@@ -115,6 +123,45 @@ class TestEligibility:
             hierarchy, sources, quota_per_core=QUOTA, warmup_accesses=WARMUP
         )
         assert run_replay(engine, bundle) is None
+
+    def test_warmup_mismatch_falls_back(self, bundle):
+        engine = _engine(warmup=WARMUP + 1)
+        assert run_replay(engine, bundle) is None
+
+    def test_prefetch_platform_mismatch_falls_back(self, bundle):
+        from dataclasses import replace
+
+        engine = _engine(config=replace(golden_config(), l1_next_line_prefetch=True))
+        assert run_replay(engine, bundle) is None
+        engine = _engine(config=replace(golden_config(), l2_stride_prefetch=True))
+        assert run_replay(engine, bundle) is None
+
+    def test_llc_set_count_mismatch_falls_back(self, bundle):
+        from dataclasses import replace
+
+        from repro.sim.config import CacheLevelConfig
+
+        llc = CacheLevelConfig(num_sets=128, ways=16, latency=24.0)
+        engine = _engine(config=replace(golden_config(), llc=llc))
+        assert run_replay(engine, bundle) is None
+
+    def test_private_geometry_mismatch_falls_back(self, bundle):
+        from dataclasses import replace
+
+        from repro.sim.config import CacheLevelConfig
+
+        l1 = CacheLevelConfig(num_sets=8, ways=8, latency=3.0)
+        engine = _engine(config=replace(golden_config(), l1=l1))
+        assert run_replay(engine, bundle) is None
+        l2 = CacheLevelConfig(num_sets=16, ways=8, latency=14.0)
+        engine = _engine(config=replace(golden_config(), l2=l2))
+        assert run_replay(engine, bundle) is None
+
+    def test_foreign_format_falls_back(self, bundle):
+        from repro.cpu.capture import CaptureBundle
+
+        foreign = CaptureBundle(dict(bundle.meta, format=-1), bundle.tapes)
+        assert run_replay(_engine(), foreign) is None
 
     def test_duck_typed_source_falls_back(self, bundle):
         class _NextAccessOnly:

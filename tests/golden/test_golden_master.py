@@ -105,6 +105,59 @@ class TestKernelDifferential:
         assert not problems, "\n".join(problems)
 
 
+@pytest.fixture(scope="module")
+def stored_artifact(tmp_path_factory):
+    """``(benchmarks, platform) -> path`` of one on-disk capture artifact.
+
+    Capture is policy-blind, so the golden cases share one file per
+    workload and platform; each is written on first use.
+    """
+    from dataclasses import replace
+
+    from repro.cpu.capture import capture_workload
+    from repro.golden import GOLDEN_PLATFORMS, MASTER_SEED, QUOTA, WARMUP
+    from repro.runner.replaystore import save_bundle
+
+    root = tmp_path_factory.mktemp("golden-artifacts")
+    paths: dict[tuple, Path] = {}
+
+    def path_for(benchmarks, platform):
+        key = (tuple(benchmarks), platform)
+        if key not in paths:
+            config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
+            bundle = capture_workload(
+                tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
+            )
+            path = root / f"replay-{len(paths)}.npz"
+            save_bundle(bundle, path)
+            paths[key] = path
+        return paths[key]
+
+    return path_for
+
+
+@pytest.mark.parametrize(
+    ("policy", "workload", "benchmarks", "platform"), CASES, ids=CASE_IDS
+)
+class TestStoredArtifactReplay:
+    def test_loaded_artifact_matches_fixture(
+        self, policy, workload, benchmarks, platform, stored_artifact, monkeypatch
+    ):
+        """The on-disk artifact (npz streams plus JSON checkpoints) drives
+        the replay kernel — private-level reconstruction included — to the
+        committed fixture: serialisation loses nothing replay reads."""
+        from repro.cpu import capture
+        from repro.runner.replaystore import load_bundle
+
+        loaded = load_bundle(stored_artifact(benchmarks, platform))
+        assert loaded is not None
+        monkeypatch.setattr(capture, "capture_workload", lambda *a, **k: loaded)
+        expected = _load(policy, workload, platform)
+        actual = run_case(policy, benchmarks, platform=platform, kernel="replay")
+        problems = compare_records(expected, actual)
+        assert not problems, "\n".join(problems)
+
+
 #: One policy per inline family, matching the prefetch-platform pinning
 #: rationale: the replay event path is policy-independent beyond the hook
 #: dispatch, so this subset covers every dispatch mode per core count.

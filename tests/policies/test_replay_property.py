@@ -11,7 +11,10 @@ the per-core snapshots and the full LLC stats block.
 This is a sharper check than the golden differential alone: random
 budgets move the warm-up boundary, the completion skew and the interval
 clock across event-group shapes the committed fixtures never pin, and a
-tiny random slack forces the live-tail continuation path.
+tiny random slack forces the live-tail continuation path.  A second
+property pins replay against the generic reference loop, per-set LLC
+residency (addresses, dirty bits, owners, reuse bits, occupancy)
+included.
 """
 
 from __future__ import annotations
@@ -94,3 +97,41 @@ def test_replay_matches_fused_policy_state(
     replayed = run_replay(engine, bundle)
     assert replayed is not None, "platform must be replay eligible"
     assert _observe(engine, replayed) == expected
+
+
+def _observe_residency(engine, snapshots):
+    llc = engine.hierarchy.llc
+    return _observe(engine, snapshots) + (
+        llc.addrs,
+        llc.dirty,
+        llc.owner,
+        llc.reused,
+        list(llc.occupancy),
+    )
+
+
+@pytest.mark.parametrize("policy_name", REPLAY_POLICIES)
+@settings(max_examples=4, deadline=None)
+@given(
+    bench_a=st.sampled_from(BENCH_POOL),
+    bench_b=st.sampled_from(BENCH_POOL),
+    seed=st.integers(min_value=0, max_value=2**16),
+    quota=st.integers(min_value=150, max_value=600),
+    warmup=st.integers(min_value=0, max_value=200),
+    prefetch=st.booleans(),
+    slack=st.sampled_from((0.0, 0.05, 1.0)),
+)
+def test_replay_matches_generic_residency(
+    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, slack
+):
+    benchmarks = (bench_a, bench_b)
+    reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    expected = _observe_residency(reference, reference._run_generic())
+
+    bundle = capture_workload(
+        benchmarks, _config(prefetch), quota, warmup, seed, slack=slack
+    )
+    engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    replayed = run_replay(engine, bundle)
+    assert replayed is not None, "platform must be replay eligible"
+    assert _observe_residency(engine, replayed) == expected

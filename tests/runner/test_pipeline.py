@@ -75,6 +75,30 @@ class TestPipelinedEquivalence:
 
         assert pooled == fused
 
+    def test_mixed_batch_matches_fused_inline(self, tiny_config, monkeypatch):
+        # A swept mix alongside an unswept one: only the sweep replays.
+        jobs = _sweep(tiny_config, ("lru", "ship")) + _sweep(
+            tiny_config, ("adapt",), mixes=("friendly",)
+        )
+        pipelined, runner = _run(jobs)
+        assert runner.stats["bundle_loads"] == 1
+        assert runner.stats["executed"] == len(jobs)
+
+        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        fused, _ = _run(jobs)
+
+        assert pipelined == fused
+
+    def test_shared_traces_off_matches(self, tiny_config, monkeypatch):
+        jobs = _sweep(tiny_config, ("lru", "adapt"), mixes=("thrash", "friendly"))
+        pipelined, _ = _run(jobs)
+
+        monkeypatch.setenv("REPRO_NO_SHARED_TRACES", "1")
+        unshared, runner = _run(jobs)
+
+        assert unshared == pipelined
+        assert runner.stats["failed"] == 0
+
 
 class TestCaptureFailureDegradation:
     def test_poisoned_capture_costs_only_the_replay_kernel(
@@ -121,3 +145,24 @@ class TestBundleCache:
         assert all(result is not None for result in results)
         assert runner.stats["executed"] == len(jobs)
         assert runner.stats["bundle_loads"] == 1
+
+    def test_two_sweeps_load_two_artifacts(self, tiny_config):
+        jobs = _sweep(tiny_config, ("lru", "ship"), mixes=("thrash", "friendly"))
+        results, runner = _run(jobs)
+        assert all(result is not None for result in results)
+        assert runner.stats["bundle_loads"] == 2
+
+    def test_each_seed_is_its_own_artifact(self, tiny_config):
+        jobs = _sweep(tiny_config, ("lru", "ship")) + _sweep(
+            tiny_config, ("lru", "ship"), seed=1
+        )
+        results, runner = _run(jobs)
+        assert all(result is not None for result in results)
+        assert runner.stats["executed"] == len(jobs)
+        assert runner.stats["bundle_loads"] == 2
+
+    def test_unswept_batch_loads_nothing(self, tiny_config):
+        jobs = _sweep(tiny_config, ("lru",), mixes=("thrash", "friendly"))
+        results, runner = _run(jobs)
+        assert all(result is not None for result in results)
+        assert runner.stats["bundle_loads"] == 0

@@ -149,7 +149,45 @@ class TestPoolScheduling:
         assert supervisor.stats["pool_rebuilds"] >= 1
 
 
+class TestPoolLifecycle:
+    def test_empty_batch_yields_nothing(self):
+        supervisor = Supervisor(workers=2, policy=FAST)
+        assert _run(supervisor, [], _echo) == {}
+        assert supervisor.stats == {"retried": 0, "timeouts": 0, "pool_rebuilds": 0}
+
+    def test_shutdown_is_idempotent_and_pool_recreated_lazily(self):
+        supervisor = Supervisor(workers=2, policy=FAST)
+        first = supervisor.pool
+        assert first is not None and supervisor.pool is first
+        supervisor.shutdown()
+        supervisor.shutdown()
+        second = supervisor.pool
+        try:
+            assert second is not None and second is not first
+        finally:
+            supervisor.shutdown(cancel=True)
+
+    def test_degraded_supervisor_stays_inline(self):
+        supervisor = Supervisor(
+            workers=2,
+            policy=RetryPolicy(max_retries=8, backoff_base=0.001, max_pool_rebuilds=0),
+        )
+        assert _run(supervisor, MISSES, _die_always) == EXPECTED
+        assert supervisor.stats["pool_rebuilds"] == 1
+        # Degradation persists: the next batch never builds a pool.
+        assert supervisor.pool is None
+        assert _run(supervisor, MISSES, _die_always) == EXPECTED
+        assert supervisor.stats["pool_rebuilds"] == 1
+
+
 class TestInlineScheduling:
+    def test_zero_and_negative_workers_run_inline(self):
+        for workers in (0, -3):
+            supervisor = Supervisor(workers=workers, policy=FAST)
+            assert supervisor.workers == 0
+            assert supervisor.pool is None
+            assert _run(supervisor, MISSES, _echo) == EXPECTED
+
     def test_single_worker_runs_inline(self):
         supervisor = Supervisor(workers=1, policy=FAST)
         assert supervisor.pool is None
@@ -330,6 +368,37 @@ class TestRetryPolicy:
         # Explicit 0 disables the timeout rather than meaning "instant".
         assert policy.with_overrides(job_timeout=0).job_timeout is None
 
+    def test_from_env_garbage_falls_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "fast")
+        policy = RetryPolicy.from_env()
+        assert policy.max_retries == 2
+        assert policy.job_timeout is None
+        assert policy.backoff_base == 0.05
+
+    def test_from_env_clamps_negatives(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "-3")
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-1")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "-0.5")
+        policy = RetryPolicy.from_env()
+        assert policy.max_retries == 0
+        assert policy.job_timeout is None
+        assert policy.backoff_base == 0.0
+
+    def test_overrides_keep_unset_fields_and_clamp(self):
+        policy = RetryPolicy(max_retries=4, job_timeout=3.0)
+        assert policy.with_overrides() == policy
+        assert policy.with_overrides(max_retries=-2).max_retries == 0
+
+    def test_backoff_doubles_per_attempt(self):
+        # Jitter scales each step by [1, 2), so attempt a lands in
+        # [base * 2**a, base * 2**(a + 1)) until the cap.
+        policy = RetryPolicy(backoff_base=0.01, backoff_cap=100.0)
+        for attempt in range(8):
+            delay = policy.backoff("key", attempt)
+            assert 0.01 * 2**attempt <= delay < 0.01 * 2 ** (attempt + 1)
+
     def test_backoff_is_deterministic_and_capped(self):
         policy = RetryPolicy(backoff_base=0.05, backoff_cap=2.0)
         assert policy.backoff("key", 1) == policy.backoff("key", 1)
@@ -339,3 +408,7 @@ class TestRetryPolicy:
     def test_failure_record_roundtrip(self):
         record = FailureRecord(key="k", kind="timeout", attempts=3, error="e")
         assert FailureRecord.from_dict(record.to_dict()) == record
+
+    def test_failure_record_error_defaults_to_empty(self):
+        record = FailureRecord.from_dict({"key": "k", "kind": "pool", "attempts": 1})
+        assert record.error == ""
