@@ -40,7 +40,7 @@ from repro.cache.prefetch import StrideEntry
 from repro.cpu.fastpath import _decode_chunk, _residency
 from repro.policies.drrip import DrripPolicy
 from repro.policies.lru import LruPolicy
-from repro.trace.benchmarks import TraceSource
+from repro.trace.benchmarks import TraceSource, make_source
 
 #: Step-stream codes: the access's private-time cost class.
 STEP_HIT, STEP_L2HIT, STEP_LLC = 0, 1, 2
@@ -664,11 +664,8 @@ def capture_workload(
     Builds fresh sources and private levels (independent of any engine),
     simulates each core ``(quota + warmup) * (1 + slack)`` accesses, and
     returns the bundle the replay kernel consumes.  Sources go through
-    :func:`repro.trace.shared.make_source`, so shared trace buffers are
-    replayed zero-copy when registered.
+    :func:`repro.trace.benchmarks.make_source`, like every other run.
     """
-    from repro.trace.shared import make_source
-
     if slack is None:
         slack = replay_slack()
     finish = quota + warmup
@@ -755,8 +752,6 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     tape = bundle.tapes[core_id]
     sim = tape.live_sim
     if sim is None:
-        from repro.trace.shared import make_source
-
         meta = bundle.meta
         l1, l2, prefetcher = _fresh_private_level(meta, core_id)
         source = make_source(

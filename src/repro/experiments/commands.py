@@ -513,7 +513,7 @@ def _configure_traces(parser) -> None:
     parser.add_argument(
         "action",
         choices=["gc", "ls"],
-        help="'gc' prunes unreferenced buffers, 'ls' lists every artifact "
+        help="'gc' prunes unreferenced artifacts, 'ls' lists every artifact "
         "with its provenance",
     )
     parser.add_argument(
@@ -536,15 +536,15 @@ def _configure_traces(parser) -> None:
 
 @register_command(
     "traces",
-    help="shared-buffer maintenance: 'traces gc' prunes, 'traces ls' "
+    help="trace-artifact maintenance: 'traces gc' prunes, 'traces ls' "
     "lists with provenance",
     configure=_configure_traces,
 )
 def _cmd_traces(args) -> int:
     """``gc`` walks the persistent result store through its typed query
-    API, recomputes the buffer keys every stored result references (plus
-    the target buffers ``targets.json`` pins), and deletes the rest of
-    ``<results-dir>/traces/``.  ``ls`` only enumerates, rendering each
+    API, collects the replay captures every stored result references
+    (plus the target buffers ``targets.json`` pins), and deletes the rest
+    of ``<results-dir>/traces/``.  ``ls`` only enumerates, rendering each
     artifact's provenance from its meta sidecar."""
     from repro.runner.tracegc import collect_garbage, list_traces
 
@@ -715,17 +715,13 @@ def _cmd_targets(args) -> int:
             if meta.get("instructions"):
                 print(f"  instrs     {meta['instructions']}")
             continue
-        # Fall back to any artifact in the traces dir (synthetic buffers
-        # included) so `targets info <key>.npy` prints its provenance.
+        # Fall back to any artifact in the traces dir (by file name or
+        # target key) so `targets info <file>` prints its provenance.
         from repro.runner.tracegc import provenance_line
 
         candidates = [
             p
-            for p in (
-                directory / item,
-                directory / f"{item}.npy",
-                directory / f"target-{item}.npy",
-            )
+            for p in (directory / item, directory / f"target-{item}.npy")
             if p.is_file()
         ]
         if candidates:

@@ -11,10 +11,9 @@ Execution goes through the ordinary experiment
 :class:`~repro.experiments.common.Runner`, which means:
 
 * every (workload, policies) batch is prefetched through
-  :class:`~repro.runner.parallel.ParallelRunner` — the runner materialises
-  shared trace buffers once, schedules one private-level **capture** per
-  swept platform ahead of the batch via the replay manifest, and replays
-  every policy at LLC-only cost;
+  :class:`~repro.runner.parallel.ParallelRunner` — the runner schedules
+  one private-level **capture** per swept platform ahead of the batch via
+  the replay manifest, and replays every policy at LLC-only cost;
 * every result (and every ``IPC_alone`` baseline the report's
   weighted-speed-up metric needs) lands in the persistent result store,
   which is exactly what ``repro-experiments report`` aggregates.

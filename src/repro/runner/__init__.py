@@ -18,7 +18,7 @@ The subsystem has three pieces:
   private-level capture per platform, replayed by every swept job), plus
   the per-process manifest registry;
 * :mod:`repro.runner.tracegc` — ``repro-experiments traces gc``, pruning
-  shared buffers no stored result references any more and quarantining
+  replay captures no stored result references any more and quarantining
   corrupt artifacts;
 * :mod:`repro.runner.supervisor` — :class:`Supervisor`, the
   future-per-job scheduler behind :class:`ParallelRunner` (retry with

@@ -6,7 +6,7 @@ jobs — so the retry/timeout/quarantine machinery of
 :mod:`repro.runner.supervisor` can be exercised end to end, in tests and
 in the nightly chaos CI job.  Injection happens only at the *job
 boundary* (before a job's simulation starts) and at *artifact write
-time* (after a shared buffer is persisted), never inside the simulation
+time* (after a replay capture is persisted), never inside the simulation
 kernels, so a retried job reproduces its result bit for bit and a run
 that survives injected noise is bit-identical to a fault-free run.
 
@@ -24,8 +24,8 @@ Grammar — a comma-separated list of directives::
                                                     #   cache key contains substring
                 | "corrupt-artifact:" kind [":" trigger]
                                                     # damage a freshly written
-                                                    #   artifact; kind is
-                                                    #   "trace" or "replay"
+                                                    #   artifact; the only
+                                                    #   kind is "replay"
     trigger     = probability                      # float in [0, 1], drawn
                                                     #   deterministically per
                                                     #   (directive, key, attempt)
@@ -129,10 +129,8 @@ def parse_plan(raw: str) -> tuple[Directive, ...]:
                 raise ValueError(f"poison needs a key substring: {part!r}")
             directives.append(Directive(kind, match=fields[1]))
         elif kind == "corrupt-artifact":
-            if len(fields) not in (2, 3) or fields[1] not in ("trace", "replay"):
-                raise ValueError(
-                    f"corrupt-artifact needs a kind (trace|replay): {part!r}"
-                )
+            if len(fields) not in (2, 3) or fields[1] != "replay":
+                raise ValueError(f"corrupt-artifact needs a kind (replay): {part!r}")
             prob, max_attempt = _parse_trigger(
                 fields[2] if len(fields) == 3 else "1.0", part
             )

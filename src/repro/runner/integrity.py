@@ -1,9 +1,9 @@
 """Artifact integrity: checksum sidecars and the quarantine area.
 
-Shared trace buffers (``<key>.npy``) and replay captures
-(``replay-<key>.npz``) are pure caches, but a *silently corrupt* cache
-is worse than a missing one — a bit-flipped ``.npy`` still loads and
-would feed wrong accesses into a simulation.  Every artifact therefore
+Ingested target buffers (``target-<key>.npy``) and replay captures
+(``replay-<key>.npz``) are content-addressed caches, but a *silently
+corrupt* cache is worse than a missing one — a bit-flipped ``.npy``
+still loads and would feed wrong accesses into a simulation.  Every artifact therefore
 gets a ``<name>.sha256`` sidecar written right after the atomic rename,
 and every reader verifies it before mapping/loading.
 

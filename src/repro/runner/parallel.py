@@ -8,26 +8,21 @@ back in input order regardless of which worker finished first, and every
 job carries its own master seed, so a parallel run is bit-identical to the
 sequential run of the same batch.
 
-Before fanning out, the runner scans the miss batch for trace identities
-needed by two or more jobs (the common shape: one workload swept across
-several policies) and materialises each such trace **once** as a
-content-addressed shared buffer (:mod:`repro.trace.shared`, stored under
-``<store root>/traces/``).  Workers map the buffers zero-copy instead of
-regenerating the streams per process; with no persistent store a
-runner-lifetime temporary directory holds them.
-
 The worker count defaults to the ``REPRO_JOBS`` environment variable and
 falls back to ``os.cpu_count()``; ``jobs=1`` executes inline in the
 calling process (no pool, no pickling), which is also the automatic
 fast path for single-job batches.
 
-Policy sweeps additionally run a once-per-platform private-level
-*capture* pass (:mod:`repro.runner.replaystore`) so every swept job can
-execute on the LLC-only replay kernel.  Captures and sim jobs share one
-dependency-edged queue: each sweep's replays are submitted the moment
-*its* capture's manifest entry lands, so a slow capture never stalls
-unrelated sweeps.  A batch with no sweep is the same queue with no
-capture jobs in it.
+Policy sweeps (two or more miss jobs over one workload and platform,
+differing only in LLC policy) run a once-per-platform private-level
+*capture* pass (:mod:`repro.runner.replaystore`), so every swept job
+executes on the LLC-only replay kernel and reads no trace at all.
+Captures and sim jobs share one dependency-edged queue: each sweep's
+replays are submitted the moment *its* capture's manifest entry lands,
+so a slow capture never stalls unrelated sweeps.  A batch with no sweep
+is the same queue with no capture jobs in it.  Capture artifacts live
+under ``<store root>/traces/``; with no persistent store a
+runner-lifetime temporary directory holds them.
 
 Execution is *supervised* (:mod:`repro.runner.supervisor`): every miss
 is submitted as its own future and collected in completion order, so a
@@ -46,6 +41,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.runner import faults
 from repro.runner.jobs import SCHEMA_VERSION, Job, job_from_dict
@@ -56,13 +52,6 @@ from repro.runner.replaystore import (
 )
 from repro.runner.store import ResultStore
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
-from repro.trace.shared import (
-    SharedTraceStore,
-    chunks_for,
-    clear_manifest,
-    install_manifest,
-    shared_traces_enabled,
-)
 
 
 def default_jobs() -> int:
@@ -77,19 +66,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _job_trace_identities(job: Job) -> list[tuple]:
-    """``(benchmark, geometry, core_id, master_seed, n_chunks)`` per core."""
-    from repro.sim.build import geometry_of
-
-    geometry = geometry_of(job.config)
-    n_chunks = chunks_for(job.quota, job.warmup)
-    names = job.benchmarks if job.kind == "workload" else (job.benchmark,)
-    return [
-        (name, geometry, core_id, job.master_seed, n_chunks)
-        for core_id, name in enumerate(names)
-    ]
-
-
 def _counters_snapshot() -> dict:
     """Per-process cache counters the runner aggregates across workers."""
     from repro.runner.replaystore import REGISTRY_STATS
@@ -101,23 +77,20 @@ def _execute_task(task: tuple[str, tuple]) -> object:
     """Worker entry point: one tagged ``("capture" | "sim", ...)`` task.
 
     One pool serves both job families, so a worker alternates freely
-    between captures and sims as the dependency-edged queue drains.  The
-    shared-trace (and, for sims, replay-capture) manifests ride along
-    with every task; installing them is idempotent (mappings and bundles
-    are cached per path), so a worker reusing a process across tasks
-    maps each buffer once — and a *fresh* worker after a pool rebuild
-    needs no re-initialisation beyond its first task.  The job's cache
-    key and attempt number ride along too, for the fault-injection
-    harness.
+    between captures and sims as the dependency-edged queue drains.  A
+    sim task carries the replay-capture manifest; installing it is
+    idempotent (bundles are cached per path), so a worker reusing a
+    process across tasks loads each bundle once — and a *fresh* worker
+    after a pool rebuild needs no re-initialisation beyond its first
+    task.  The job's cache key and attempt number ride along too, for
+    the fault-injection harness.
 
     A sim's wire dict carries a ``_counters`` delta (bundle loads) that
     the parent strips and folds into ``runner.stats``.
     """
     tag, inner = task
     if tag == "capture":
-        payload, manifest, key, attempt = inner
-        if manifest:
-            install_manifest(manifest)
+        payload, key, attempt = inner
         faults.maybe_fail(key, attempt, allow_exit=True)
         try:
             return _materialise_capture(payload)
@@ -126,9 +99,7 @@ def _execute_task(task: tuple[str, tuple]) -> object:
             # manifest entry, never the batch — the affected sweep runs
             # on the fused kernel instead.
             return None
-    payload, manifest, replay_manifest, key, attempt = inner
-    if manifest:
-        install_manifest(manifest)
+    payload, replay_manifest, key, attempt = inner
     install_replay_manifest(replay_manifest)
     faults.maybe_fail(key, attempt, allow_exit=True)
     before = _counters_snapshot()
@@ -168,11 +139,6 @@ class ParallelRunner:
     use_cache:
         When ``False`` the store is neither read nor written — every job
         is simulated fresh (the ``--no-cache`` CLI behaviour).
-    share_traces:
-        When ``True`` (default), traces needed by two or more miss jobs
-        are materialised once and mapped zero-copy by every executor
-        (also gated by the ``REPRO_NO_SHARED_TRACES`` environment
-        variable).  Results are bit-identical either way.
     retry:
         The batch :class:`~repro.runner.supervisor.RetryPolicy`
         (``None`` reads ``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
@@ -184,15 +150,12 @@ class ParallelRunner:
         jobs: int | None = None,
         store: ResultStore | None = None,
         use_cache: bool = True,
-        share_traces: bool = True,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.store = store
         self.use_cache = use_cache
-        self.share_traces = share_traces
         self.retry = retry or RetryPolicy.from_env()
-        self._traces: SharedTraceStore | None = None
         self._trace_tmpdir: tempfile.TemporaryDirectory | None = None
         #: Lifetime counters: ``store_hits`` results re-read from disk,
         #: ``executed`` simulations completed (counted per job, as each
@@ -220,7 +183,6 @@ class ParallelRunner:
         """Reclaim the runner-lifetime temporary trace directory (if any)."""
         tmpdir, self._trace_tmpdir = self._trace_tmpdir, None
         if tmpdir is not None:
-            self._traces = None
             tmpdir.cleanup()
 
     def __enter__(self) -> "ParallelRunner":
@@ -259,11 +221,6 @@ class ParallelRunner:
                 misses.append((key, job))
         self.last_failures = []
 
-        manifest = self._prepare_traces([job for _, job in misses])
-        if manifest:
-            # Install in this process too: inline execution replays the
-            # same buffers the pool workers map.
-            install_manifest(manifest)
         # One supervisor (and pool) serves captures and sims alike.
         supervisor = Supervisor(
             workers=min(self.jobs, len(misses)) if len(misses) > 1 else 1,
@@ -272,7 +229,7 @@ class ParallelRunner:
         counters_before = _counters_snapshot()
         try:
             plan = self._plan_captures([job for _, job in misses])
-            for key, job, outcome in self._execute(supervisor, misses, manifest, plan):
+            for key, job, outcome in self._execute(supervisor, misses, plan):
                 if isinstance(outcome, FailureRecord):
                     self.stats["failed"] += 1
                     self.failures.append(outcome)
@@ -295,84 +252,28 @@ class ParallelRunner:
             for name in counters_after:
                 self.stats[name] += counters_after[name] - counters_before[name]
             clear_replay_manifest()
-            if manifest:
-                clear_manifest()
 
         return [results.get(key) for key in order]
 
     def run_one(self, job: Job):
         return self.run([job])[0]
 
-    # -- shared traces -----------------------------------------------------------
-
-    def trace_store(self) -> SharedTraceStore:
-        """The shared-trace buffer store (created on first use).
-
-        Lives under ``<result store root>/traces`` so buffers persist and
-        are reused content-addressed across invocations.  Without a result
-        store — or with ``use_cache=False``, which promises the store is
-        neither read nor written — a runner-lifetime temporary directory
-        backs them instead.
-        """
-        if self._traces is None:
-            if self.store is not None and self.use_cache:
-                root = self.store.root / "traces"
-            else:
-                self._trace_tmpdir = tempfile.TemporaryDirectory(
-                    prefix="repro-traces-"
-                )
-                root = self._trace_tmpdir.name
-            self._traces = SharedTraceStore(root)
-        return self._traces
-
-    def _prepare_traces(self, jobs: list[Job]) -> list[dict]:
-        """Materialise every trace needed by two or more miss jobs.
-
-        Returns the manifest the executors install; empty when sharing is
-        off, nothing overlaps, or buffer I/O fails (every failure mode
-        falls back to per-process generation, which is always equivalent).
-        """
-        if not self.share_traces or len(jobs) < 2 or not shared_traces_enabled():
-            return []
-        needed: dict[tuple, int] = {}
-        counts: dict[tuple, int] = {}
-        geometries: dict[tuple, object] = {}
-        for job in jobs:
-            for name, geometry, core_id, seed, n_chunks in _job_trace_identities(job):
-                ident = (
-                    name,
-                    geometry.llc_num_sets,
-                    geometry.l2_blocks,
-                    geometry.l1_blocks,
-                    core_id,
-                    seed,
-                )
-                counts[ident] = counts.get(ident, 0) + 1
-                needed[ident] = max(needed.get(ident, 0), n_chunks)
-                geometries[ident] = geometry
-        shared = [ident for ident, n in counts.items() if n >= 2]
-        if not shared:
-            return []
-        from repro.trace.benchmarks import BENCHMARKS
-
-        manifest = []
-        store = self.trace_store()
-        try:
-            for ident in shared:
-                name, _, _, _, core_id, seed = ident
-                spec = BENCHMARKS.get(name)
-                if spec is None:
-                    continue
-                manifest.append(
-                    store.materialise(
-                        spec, geometries[ident], core_id, seed, needed[ident]
-                    )
-                )
-        except OSError:
-            return []
-        return manifest
-
     # -- replay captures ---------------------------------------------------------
+
+    def traces_root(self) -> Path:
+        """The directory replay captures live in.
+
+        ``<result store root>/traces``, so captures persist and are reused
+        content-addressed across invocations.  Without a result store — or
+        with ``use_cache=False``, which promises the store is neither read
+        nor written — a runner-lifetime temporary directory (created on
+        first use) backs them instead.
+        """
+        if self.store is not None and self.use_cache:
+            return self.store.root / "traces"
+        if self._trace_tmpdir is None:
+            self._trace_tmpdir = tempfile.TemporaryDirectory(prefix="repro-traces-")
+        return Path(self._trace_tmpdir.name)
 
     def _plan_captures(self, jobs: list[Job]) -> dict[tuple, dict]:
         """Swept capture identities of a miss batch, with worker payloads.
@@ -380,14 +281,14 @@ class ParallelRunner:
         A *sweep* is two or more miss jobs sharing one capture identity —
         same workload, private-level platform and budgets, different LLC
         policy.  Returns ``{identity: payload}`` (the payload already
-        carries the store root); empty when sharing is off, replay is
-        disabled, nothing is swept, or the store root is unavailable —
-        every one of which degrades to the fused kernel.
+        carries the store root); empty when replay is disabled, nothing
+        is swept, or the store root is unavailable — every one of which
+        degrades to the fused kernel.
         """
         from repro.cpu.replay import replay_enabled
         from repro.sim.build import capture_identity
 
-        if not self.share_traces or len(jobs) < 2 or not replay_enabled():
+        if len(jobs) < 2 or not replay_enabled():
             return {}
         counts: dict[tuple, int] = {}
         payloads: dict[tuple, dict] = {}
@@ -412,7 +313,7 @@ class ParallelRunner:
         if not swept:
             return {}
         try:
-            root = str(self.trace_store().root)
+            root = str(self.traces_root())
         except OSError:
             return {}
         plan: dict[tuple, dict] = {}
@@ -426,7 +327,6 @@ class ParallelRunner:
         self,
         supervisor: Supervisor,
         misses: list[tuple[str, Job]],
-        manifest: list[dict],
         plan: dict[tuple, dict],
     ):
         """Dependency-edged execution: captures and sims share one queue.
@@ -464,10 +364,10 @@ class ParallelRunner:
 
         def task_for(key, job, attempt):
             if key in capture_keys:
-                return ("capture", (job, manifest, key, attempt))
+                return ("capture", (job, key, attempt))
             # Snapshot at submit time: the job's capture (if any) has
             # already landed, so its entry is aboard.
-            return ("sim", (job.to_dict(), manifest, list(replay_manifest), key, attempt))
+            return ("sim", (job.to_dict(), list(replay_manifest), key, attempt))
 
         def inline_fn(key, job):
             if key in capture_keys:

@@ -1,11 +1,10 @@
 """Content-addressed replay-capture artifacts and their per-process registry.
 
-The second kind of shared buffer in the result store's ``traces/``
-directory (next to the zero-copy trace buffers of
-:mod:`repro.trace.shared`): one ``replay-<key>.npz`` per distinct
-``(workload, private-level platform, budgets, seed)``, holding the
-private-level streams a whole policy sweep replays through the
-LLC-filtered kernel (:mod:`repro.cpu.replay`).
+The result store's ``traces/`` directory holds one ``replay-<key>.npz``
+per distinct ``(workload, private-level platform, budgets, seed)``, next
+to the ingested ``target-<key>.npy`` buffers of :mod:`repro.targets`.
+Each artifact holds the private-level streams a whole policy sweep
+replays through the LLC-filtered kernel (:mod:`repro.cpu.replay`).
 
 Artifacts are structured-NumPy end to end — per-core ``uint8`` step
 streams and structured event records plus one JSON meta blob (bundle
@@ -13,13 +12,12 @@ identity, checkpoints, baseline/finish stat records) — written atomically
 and addressed by a SHA-256 over the capture identity, so a stale or
 foreign file is simply never loaded.
 
-The lifecycle mirrors shared traces, driven by
-:class:`~repro.runner.parallel.ParallelRunner`:
+The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 
 1. the parent scans a miss batch for platform identities swept by two or
    more jobs and schedules one **capture job** per identity ahead of the
    batch (through the same worker pool, so captures parallelise);
-2. the resulting manifest rides along with every worker payload;
+2. the resulting manifest rides along with every sim task;
    :func:`install_replay_manifest` registers the artifacts in the
    executing process;
 3. :func:`active_replay_bundle` (consulted by
@@ -165,7 +163,7 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
 
 
 class ReplayStore:
-    """Capture artifacts under a shared-trace directory.
+    """Capture artifacts under a store's ``traces/`` directory.
 
     ``stats`` counts real capture work (``captured``) separately from
     warm-store reuse (``reused``).

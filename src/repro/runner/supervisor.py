@@ -29,9 +29,9 @@ dependency's outcome has been *yielded*, success or quarantine alike
 (edges order work, they never veto it), so the caller can fold the
 dependency's product into the dependent's payload before it is built.
 
-Workers need no special re-initialisation after a rebuild: the shared
-trace and replay manifests ride along inside every task payload, so a
-fresh worker re-installs them on its first task.
+Workers need no special re-initialisation after a rebuild: the replay
+manifest rides along inside every sim task payload, so a fresh worker
+re-installs it on its first task.
 
 Inline execution (``workers <= 1``, single-job batches, or a degraded
 pool) goes through the same retry/quarantine path; only timeouts are
@@ -161,6 +161,10 @@ class Supervisor:
         The batch's :class:`RetryPolicy`.
     """
 
+    #: Time source for deadlines and backoff timers.  Tests substitute a
+    #: virtual clock so timeout behaviour never races the wall clock.
+    clock = staticmethod(time.monotonic)
+
     def __init__(self, workers: int, policy: RetryPolicy | None = None) -> None:
         self.workers = max(0, workers)
         self.policy = policy or RetryPolicy.from_env()
@@ -252,7 +256,7 @@ class Supervisor:
                     queue.extend(entries)
                 blocked.clear()
                 continue
-            now = time.monotonic()
+            now = self.clock()
             if waiting:
                 due = [entry for entry in waiting if entry[0] <= now]
                 if due:
@@ -268,7 +272,7 @@ class Supervisor:
                     outcome = self._inline_attempt(inline_fn, key, job, attempt)
                     if isinstance(outcome, _Retry):
                         waiting.append(
-                            (time.monotonic() + outcome.delay, key, job, attempt + 1)
+                            (self.clock() + outcome.delay, key, job, attempt + 1)
                         )
                     else:
                         yield key, job, outcome
@@ -309,7 +313,7 @@ class Supervisor:
                 outcome = self._after_failure(key, attempt, "crash", repr(exc))
                 if isinstance(outcome, _Retry):
                     waiting.append(
-                        (time.monotonic() + outcome.delay, key, job, attempt + 1)
+                        (self.clock() + outcome.delay, key, job, attempt + 1)
                     )
                 else:
                     yield key, job, outcome
@@ -319,7 +323,7 @@ class Supervisor:
                 continue
             if self.policy.job_timeout is None or not active:
                 continue
-            now = time.monotonic()
+            now = self.clock()
             expired = [
                 future
                 for future, flight in active.items()
@@ -339,7 +343,7 @@ class Supervisor:
                 )
                 if isinstance(outcome, _Retry):
                     waiting.append(
-                        (time.monotonic() + outcome.delay, key, job, attempt + 1)
+                        (self.clock() + outcome.delay, key, job, attempt + 1)
                     )
                 else:
                     yield key, job, outcome
@@ -353,7 +357,7 @@ class Supervisor:
     def _wait_timeout(self, active: dict, waiting: list) -> float | None:
         """How long ``wait`` may block before a deadline or retry is due."""
         timeout: float | None = None
-        now = time.monotonic()
+        now = self.clock()
         if self.policy.job_timeout is not None:
             deadline_pending = False
             deadlines = []
@@ -412,8 +416,7 @@ class Supervisor:
             return _Retry(self.policy.backoff(key, attempt))
         return FailureRecord(key=key, kind=kind, attempts=attempt + 1, error=error)
 
-    @staticmethod
-    def _sleep_until(deadline: float) -> None:
-        delay = deadline - time.monotonic()
+    def _sleep_until(self, deadline: float) -> None:
+        delay = deadline - self.clock()
         if delay > 0:
             time.sleep(min(delay, _IDLE_SLEEP))

@@ -1,16 +1,17 @@
-"""Garbage collection for the shared-buffer directory of a result store.
+"""Garbage collection for the ``traces/`` directory of a result store.
 
-Long-lived stores accumulate zero-copy trace buffers
-(:mod:`repro.trace.shared`) and replay-capture artifacts
-(:mod:`repro.runner.replaystore`) under ``<store>/traces/``.  Both are
-pure caches — deleting one only costs a regeneration — but nothing ever
+Long-lived stores accumulate replay-capture artifacts
+(:mod:`repro.runner.replaystore`) under ``<store>/traces/``.  They are
+pure caches — deleting one only costs a re-capture — but nothing ever
 pruned them, so heavily-used stores grew without bound.
 
 ``collect_garbage`` walks every stored result (via the store's typed
 :meth:`~repro.runner.store.ResultStore.records` API — this module knows
-nothing about the on-disk JSON layout), recomputes the content-addressed
-buffer keys its job would use today (same trace-chunk budget, same capture
-slack), and removes every buffer file no stored result references.
+nothing about the on-disk JSON layout), collects the capture identity
+each workload job would replay, and removes every artifact no stored
+result references.  Ingested ``target-*.npy`` buffers are pinned by the
+``targets.json`` registry instead; any other ``.npy`` — such as the
+synthetic trace buffers older builds wrote — is garbage.
 
 The pass also *audits* the buffers it keeps: a referenced artifact whose
 checksum sidecar no longer matches — or whose npz structure no longer
@@ -64,7 +65,7 @@ class GcReport:
         action = "would remove" if self.dry_run else "removed"
         lines = [
             f"traces gc: {self.results_scanned} stored results scanned, "
-            f"{self.referenced} buffers referenced",
+            f"{self.referenced} replay captures referenced",
             f"{len(self.kept)} kept, {len(self.removed)} {action} "
             f"({self.freed_bytes / 1024:.0f} KiB)",
         ]
@@ -92,34 +93,29 @@ class GcReport:
         return "\n".join(lines)
 
 
-def _referenced(store: ResultStore) -> tuple[int, set[str], set[tuple]]:
+def _referenced(store: ResultStore) -> tuple[int, set[tuple]]:
     """What the currently-stored results reference.
 
-    Returns ``(results scanned, trace-buffer file names, replay-capture
-    identities)``.  Replay artifacts are matched by the *identity*
-    embedded in each file — not by recomputing the content address —
-    because the slack factor is part of the address and may differ
-    between the sweeps that wrote an artifact and the gc environment.
+    Returns ``(results scanned, replay-capture identities)``.  Replay
+    artifacts are matched by the *identity* embedded in each file — not
+    by recomputing the content address — because the slack factor is
+    part of the address and may differ between the sweeps that wrote an
+    artifact and the gc environment.
     """
-    from repro.runner.parallel import _job_trace_identities
     from repro.sim.build import capture_identity
-    from repro.trace.shared import trace_key
 
     scanned = 0
-    names: set[str] = set()
     identities: set[tuple] = set()
     for record in store.records():
         job = record.job
         scanned += 1
-        for name, geometry, core_id, seed, n_chunks in _job_trace_identities(job):
-            names.add(f"{trace_key(name, geometry, core_id, seed, n_chunks)}.npy")
         if job.kind == "workload":
             identities.add(
                 capture_identity(
                     job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
                 )
             )
-    return scanned, names, identities
+    return scanned, identities
 
 
 def _is_corrupt(path: Path, structurally_dead: bool = False) -> bool:
@@ -176,21 +172,13 @@ def provenance_line(path: Path) -> str:
             f"budget={meta.get('budget', '?')} "
             f"accesses={meta.get('accesses', '?')}"
         )
-    if meta.get("kind") == "synthetic":
-        return (
-            f"synthetic generator={meta.get('generator', '?')} "
-            f"pattern={meta.get('pattern', '?')} "
-            f"core={meta.get('core_id', '?')} "
-            f"seed={meta.get('master_seed', '?')} "
-            f"chunks={meta.get('n_chunks', '?')}"
-        )
     return f"(unrecognised meta kind {meta.get('kind')!r})"
 
 
 def collect_garbage(
     results_dir: str | Path, dry_run: bool = False, fix: bool = False
 ) -> GcReport:
-    """Prune unreferenced trace/replay buffers under ``<results_dir>/traces``.
+    """Prune unreferenced artifacts under ``<results_dir>/traces``.
 
     With *fix*, referenced-but-corrupt artifacts (checksum mismatch, or a
     replay npz whose structure no longer loads) are moved to
@@ -200,7 +188,7 @@ def collect_garbage(
     from repro.runner.replaystore import identity_from_meta, load_meta
 
     store = ResultStore(results_dir)
-    scanned, trace_names, replay_identities = _referenced(store)
+    scanned, replay_identities = _referenced(store)
     traces_dir = store.root / "traces"
     target_names, target_provenance = _registry_names(traces_dir)
     kept: list[str] = []
@@ -216,17 +204,14 @@ def collect_garbage(
             for p in traces_dir.glob(pattern)
         )
         for path in candidates:
-            if path.suffix == ".npy" and (
-                path.name in trace_names or path.name in target_names
-            ):
+            if path.name in target_names:
                 if _is_corrupt(path):
                     corrupt.append(path.name)
                     if fix and not dry_run:
                         quarantine(path, reason="trace integrity check failed")
                         continue
                 kept.append(path.name)
-                if path.name in target_names:
-                    kept_targets[path.name] = target_provenance[path.name]
+                kept_targets[path.name] = target_provenance[path.name]
                 continue
             if path.suffix == ".npz":
                 meta = load_meta(path)
@@ -283,7 +268,7 @@ def collect_garbage(
                 freed += size
     return GcReport(
         results_scanned=scanned,
-        referenced=len(trace_names) + len(replay_identities),
+        referenced=len(replay_identities),
         kept=kept,
         removed=removed,
         freed_bytes=freed,
@@ -331,9 +316,9 @@ def list_traces(results_dir: str | Path) -> TraceInventory:
     """Enumerate the trace/replay artifacts of a store with provenance.
 
     Ingested target buffers render their source provenance (format,
-    origin checksum, budget) from the meta sidecar; synthetic buffers
-    their generator identity; replay captures the identity embedded in
-    the archive.  Exposed as ``repro-experiments traces ls``.
+    origin checksum, budget) from the meta sidecar; replay captures the
+    identity embedded in the archive.  Exposed as
+    ``repro-experiments traces ls``.
     """
     traces_dir = ResultStore(results_dir).root / "traces"
     inventory = TraceInventory(root=traces_dir)

@@ -22,7 +22,7 @@ from repro.policies.lru import LruPolicy
 from repro.policies.registry import make_policy
 from repro.policies.spec import PolicySpec
 from repro.sim.config import SystemConfig
-from repro.trace.benchmarks import Geometry, TraceSource
+from repro.trace.benchmarks import Geometry, TraceSource, make_source
 from repro.trace.workloads import Workload
 
 #: Anything the builders accept as an LLC policy designation.
@@ -159,12 +159,9 @@ def build_sources(
 ) -> list[TraceSource]:
     """One calibrated trace source per core of *workload*.
 
-    Construction goes through :func:`repro.trace.shared.make_source`, so
-    traces materialised by the parallel runner are replayed zero-copy from
-    their shared buffers instead of being regenerated per process.
+    Construction goes through :func:`repro.trace.benchmarks.make_source`,
+    so ingested ``tgt:`` targets and synthetic generators mix freely.
     """
-    from repro.trace.shared import make_source
-
     geometry = geometry_of(config)
     return [
         make_source(name, geometry, core_id, master_seed)

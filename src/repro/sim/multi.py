@@ -27,10 +27,9 @@ def kernel_selection() -> str:
     2. else ``REPRO_NO_REPLAY`` → ``"fast"`` (fused kernel, no replay);
     3. else → ``"replay"`` (LLC-filtered replay kernel).
 
-    ``REPRO_NO_SHARED_TRACES`` is orthogonal: it changes how trace
-    buffers materialise, never which kernel runs.  Runs without a
-    registered capture bundle (or failing replay eligibility) degrade
-    along the same order: ``replay`` → ``fast`` → ``generic``.
+    These two switches are the whole family.  Runs without a registered
+    capture bundle (or failing replay eligibility) degrade along the same
+    order: ``replay`` → ``fast`` → ``generic``.
     """
     from repro.cpu.fastpath import fastpath_enabled
 

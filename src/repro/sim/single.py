@@ -17,8 +17,7 @@ from repro.cpu.engine import MulticoreEngine
 from repro.sim.build import build_hierarchy, geometry_of, resolve_policy
 from repro.sim.config import SystemConfig
 from repro.sim.results import SingleRunResult
-from repro.trace.benchmarks import BENCHMARKS
-from repro.trace.shared import make_source
+from repro.trace.benchmarks import BENCHMARKS, make_source
 
 
 def run_alone(

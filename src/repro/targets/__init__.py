@@ -8,8 +8,8 @@ The subsystem has four layers (see the README's targets section):
 * :mod:`repro.targets.target` — ``Target``/``TraceSet`` acquisition
   (local file, directory, tarball) with checksum verification;
 * :mod:`repro.targets.ingest` — one-time content-addressed
-  materialisation into the shared-trace store under a down-sampling
-  budget (``REPRO_TRACE_BUDGET`` x ``REPRO_SCALE``);
+  materialisation into a store's ``traces/`` directory under a
+  down-sampling budget (``REPRO_TRACE_BUDGET`` x ``REPRO_SCALE``);
 * :mod:`repro.targets.registry` — the ``targets.json`` registry, the
   ``tgt:`` name namespace and the memmapped
   :class:`~repro.targets.registry.IngestedTraceSource` every kernel

@@ -3,7 +3,7 @@
 The pipeline parses a trace file through its streaming decoder
 (:mod:`repro.targets.formats`) and writes the decoded accesses as one
 flat ``TRACE_DTYPE`` buffer — ``target-<key>.npy`` — under a store's
-``traces/`` directory, next to the synthetic shared-trace buffers.  The
+``traces/`` directory, next to the replay captures.  The
 buffer is *raw* (no per-core address offset): the offset depends on core
 placement and is applied at serve time by
 :class:`~repro.targets.registry.IngestedTraceSource`, so one ingest
@@ -43,6 +43,7 @@ import numpy as np
 from repro.targets.formats import FormatError, detect_format, iter_chunks, open_stream
 from repro.targets.registry import (
     TARGET_PREFIX,
+    TRACE_DTYPE,
     TargetSpec,
     buffer_path,
     load_registry,
@@ -193,8 +194,6 @@ def ingest_file(
         n_accesses = len(addrs)
         n_chunks = -(-n_accesses // _CHUNK)
         length = n_chunks * _CHUNK
-        from repro.trace.shared import TRACE_DTYPE
-
         out = np.empty(length, dtype=TRACE_DTYPE)
         out["addr"] = _tile(addrs, length)
         out["pc"] = _tile(pcs, length)

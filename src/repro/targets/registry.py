@@ -8,8 +8,8 @@ to the buffers.  This module is the *consumption* side:
 * :class:`TargetSpec` — the registry entry; it carries exactly the
   core-model attributes the simulator reads off a benchmark spec
   (``name``/``base_cpi``/``mlp``), so everything downstream of
-  :func:`repro.trace.shared.make_source` treats ingested and synthetic
-  workloads identically;
+  :func:`repro.trace.benchmarks.make_source` treats ingested and
+  synthetic workloads identically;
 * :class:`IngestedTraceSource` — a drop-in for
   :class:`~repro.trace.benchmarks.TraceSource` that memory-maps the
   ingested buffer read-only and serves it chunk-by-chunk (cycling at the
@@ -45,6 +45,8 @@ ENV_TARGETS_DIR = "REPRO_TARGETS_DIR"
 REGISTRY_NAME = "targets.json"
 #: Bump when the registry schema changes.
 REGISTRY_VERSION = 1
+#: One record per access; ``np.load(mmap_mode="r")`` maps it zero-copy.
+TRACE_DTYPE = np.dtype([("addr", "<i8"), ("pc", "<i8"), ("write", "?")])
 
 
 def is_target(name: object) -> bool:
@@ -75,7 +77,8 @@ class TargetSpec:
     mlp: float = 2.0
     base_cpi: float = 1.0
 
-    #: Duck-type marker :func:`repro.trace.shared.make_source` dispatches on.
+    #: Duck-type marker :func:`~repro.trace.benchmarks.make_source`
+    #: dispatches on.
     kind = "target"
 
     @property
@@ -220,7 +223,6 @@ _MAPS: dict[str, np.ndarray] = {}
 
 def _map_buffer(path: Path) -> np.ndarray:
     from repro.runner.integrity import quarantine, verify_artifact
-    from repro.trace.shared import TRACE_DTYPE
 
     arr = _MAPS.get(str(path))
     if arr is not None:

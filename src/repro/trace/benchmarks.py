@@ -271,14 +271,13 @@ class TraceSource:
 
     # -- chunked generation ---------------------------------------------------------
 
-    def _generate_chunk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Produce the next CHUNK of ``(addrs, pcs, writes)`` arrays.
+    def _refill(self) -> None:
+        """Generate the next CHUNK of ``(addrs, pcs, writes)`` arrays.
 
-        Advances the generator/pattern/echo state exactly one chunk; the
-        shared-trace machinery (:mod:`repro.trace.shared`) calls this both
-        to materialise buffers and to fast-forward state past a replayed
-        prefix, so every RNG draw must happen here and none in
-        :meth:`_refill`.
+        Advances the generator/pattern/echo state exactly one chunk.
+        Buffers stay NumPy end-to-end: chunked consumers (the fused and
+        replay kernels) pre-decode them with vectorised operations, and
+        the one-at-a-time path converts to native scalars per access.
         """
         n = self.CHUNK
         rng = self._rng
@@ -311,13 +310,7 @@ class TraceSource:
         writes = rng.random(n) < self.spec.write_fraction
         addrs += self.address_offset
         self.chunks_generated += 1
-        return addrs, pcs, writes
-
-    def _refill(self) -> None:
-        # Buffers stay NumPy end-to-end: chunked consumers (the fused and
-        # replay kernels) pre-decode them with vectorised operations, and
-        # the one-at-a-time path converts to native scalars per access.
-        self._addrs, self._pcs, self._writes = self._generate_chunk()
+        self._addrs, self._pcs, self._writes = addrs, pcs, writes
         self._pos = 0
 
     def _apply_echo(self, footprint: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -382,3 +375,29 @@ class TraceSource:
         self.pattern.reset()
         self._addrs = []
         self._pos = 0
+
+
+def make_source(
+    spec: BenchmarkSpec | str,
+    geometry: Geometry,
+    core_id: int,
+    master_seed: int = 0,
+) -> TraceSource:
+    """The trace source for one core: the one place sources are built.
+
+    ``tgt:``-prefixed names (and resolved
+    :class:`~repro.targets.registry.TargetSpec` objects) dispatch to the
+    ingested-trace frontend, which memory-maps its own buffers; every
+    other name gets a plain :class:`TraceSource` over its generator.
+    """
+    if isinstance(spec, str):
+        if spec.startswith("tgt:"):
+            from repro.targets.registry import make_target_source
+
+            return make_target_source(spec, geometry, core_id, master_seed)
+        spec = BENCHMARKS[spec]
+    elif getattr(spec, "kind", None) == "target":
+        from repro.targets.registry import make_target_source
+
+        return make_target_source(spec, geometry, core_id, master_seed)
+    return TraceSource(spec, geometry, core_id, master_seed)

@@ -10,6 +10,8 @@ re-invocation executes only the holes).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.runner import (
@@ -21,6 +23,7 @@ from repro.runner import (
 )
 from repro.runner import faults
 from repro.runner.integrity import quarantined_artifacts
+from repro.runner.supervisor import Supervisor
 from repro.sim.config import SystemConfig
 from repro.trace.workloads import Workload
 
@@ -179,13 +182,30 @@ class TestWorkerDeath:
     def test_hang_is_timed_out_and_retried(
         self, tiny_config, reference, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULT", "hang:@0:1.5")
+        # A virtual clock that leaps an hour per reading: any job seen
+        # running has overrun its deadline by the supervisor's next
+        # check, at most job_timeout (real) seconds later — far inside
+        # the one-second hang, however loaded the host.  The first
+        # timeout abandons the pool and (max_pool_rebuilds=0) degrades
+        # to inline execution, where nothing can time out, so the
+        # retries never race the clock either.
+        readings = itertools.count()
+        monkeypatch.setattr(
+            Supervisor, "clock", staticmethod(lambda: 3600.0 * next(readings))
+        )
+        monkeypatch.setenv("REPRO_FAULT", "hang:@0:1.0")
         runner = ParallelRunner(
             jobs=2,
-            retry=RetryPolicy(max_retries=1, job_timeout=0.3, backoff_base=0.001),
+            retry=RetryPolicy(
+                max_retries=1,
+                job_timeout=0.01,
+                backoff_base=0.001,
+                max_pool_rebuilds=0,
+            ),
         )
         assert runner.run(_alone_jobs(tiny_config)) == reference
         assert runner.stats["timeouts"] >= 1
+        assert runner.stats["pool_rebuilds"] == 1
         assert runner.stats["failed"] == 0
 
 
@@ -212,15 +232,12 @@ class TestArtifactCorruption:
         held = quarantined_artifacts(tmp_path / "faulted" / "traces")
         assert any(p.name.startswith("replay-") for p in held)
 
-    def test_corrupt_trace_buffer_is_quarantined(self, tmp_path, monkeypatch):
-        clean = self._run_sweep(tmp_path / "clean", None, monkeypatch)
-        faulted = self._run_sweep(
-            tmp_path / "faulted", "corrupt-artifact:trace", monkeypatch
-        )
-        # Sources fell back to private generation — bit-identical.
-        assert faulted == clean
-        held = quarantined_artifacts(tmp_path / "faulted" / "traces")
-        assert any(p.suffix == ".npy" for p in held)
+    def test_trace_artifact_kind_is_rejected(self, monkeypatch):
+        # Nothing writes synthetic trace buffers, so there is no "trace"
+        # artifact to damage: the kind fails to parse like any typo.
+        monkeypatch.setenv("REPRO_FAULT", "corrupt-artifact:trace")
+        with pytest.raises(ValueError, match="corrupt-artifact needs a kind"):
+            faults.plan()
 
     def test_recapture_after_quarantine(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
@@ -242,7 +259,7 @@ class TestRunnerLifecycle:
         import os
 
         runner = ParallelRunner(jobs=1)
-        runner.trace_store()  # force the tmpdir into existence
+        runner.traces_root()  # force the tmpdir into existence
         tmpdir = runner._trace_tmpdir.name
         assert os.path.isdir(tmpdir)
         runner.close()

@@ -2,8 +2,9 @@
 
 The load-bearing properties: pipelined and replay-disabled runs are
 bit-identical, inline and pooled; a failed capture costs only its
-sweep's replay kernel (never a result); and a sweep loads its artifact
-once, observably via ``runner.stats``.
+sweep's replay kernel (never a result); a sweep loads its artifact
+once, observably via ``runner.stats``; and only the capture generates
+the sweep's traces.
 """
 
 from __future__ import annotations
@@ -89,16 +90,6 @@ class TestPipelinedEquivalence:
 
         assert pipelined == fused
 
-    def test_shared_traces_off_matches(self, tiny_config, monkeypatch):
-        jobs = _sweep(tiny_config, ("lru", "adapt"), mixes=("thrash", "friendly"))
-        pipelined, _ = _run(jobs)
-
-        monkeypatch.setenv("REPRO_NO_SHARED_TRACES", "1")
-        unshared, runner = _run(jobs)
-
-        assert unshared == pipelined
-        assert runner.stats["failed"] == 0
-
 
 class TestCaptureFailureDegradation:
     def test_poisoned_capture_costs_only_the_replay_kernel(
@@ -166,3 +157,38 @@ class TestBundleCache:
         results, runner = _run(jobs)
         assert all(result is not None for result in results)
         assert runner.stats["bundle_loads"] == 0
+
+
+class TestTraceReads:
+    def test_sweep_width_adds_no_trace_generation(self, tiny_config, monkeypatch):
+        """Only the capture reads a sweep's traces: widening the sweep
+        adds replays, never a generated trace chunk."""
+        from repro.trace.benchmarks import TraceSource
+
+        chunks: dict[tuple, int] = {}
+        refill = TraceSource._refill
+
+        def counting(source):
+            ident = (source.spec.name, source.core_id)
+            chunks[ident] = chunks.get(ident, 0) + 1
+            refill(source)
+
+        monkeypatch.setattr(TraceSource, "_refill", counting)
+        _run(_sweep(tiny_config, ("lru", "ship")))
+        narrow = dict(chunks)
+        chunks.clear()
+        _run(_sweep(tiny_config, ("lru", "ship", "adapt", "srrip", "eaf")))
+        assert narrow and chunks == narrow
+
+    def test_no_cache_captures_outside_the_store(self, tiny_config, tmp_path):
+        # ``--no-cache`` promises the store is neither read nor written;
+        # captures then live in a runner-lifetime temporary directory.
+        from repro.runner import ResultStore
+
+        runner = ParallelRunner(jobs=1, store=ResultStore(tmp_path), use_cache=False)
+        runner.run(_sweep(tiny_config, ("lru", "ship")))
+        tmpdir = runner.traces_root()
+        assert list(tmpdir.glob("replay-*.npz"))
+        assert not (tmp_path / "traces").exists()
+        runner.close()
+        assert not tmpdir.exists()

@@ -54,8 +54,8 @@ class TestResultStore:
         assert sorted(store.keys()) == ["aa111", "bb222"]
 
     def test_trace_sidecars_are_not_results(self, store):
-        # Shared-trace buffers keep ``traces/<key>.meta.json`` sidecars
-        # under the store root; the ``*/*.json`` layout must not count them.
+        # Trace artifacts keep ``traces/<name>.meta.json`` sidecars under
+        # the store root; the ``*/*.json`` layout must not count them.
         store.put("deadbeef", {"ok": True})
         sidecar = store.root / "traces" / "x.meta.json"
         sidecar.parent.mkdir(parents=True)

@@ -1,14 +1,25 @@
-"""``repro-experiments traces gc``: prune unreferenced shared buffers."""
+"""``repro-experiments traces gc``: prune unreferenced trace artifacts."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.experiments.__main__ import main
 from repro.runner import ParallelRunner, ResultStore, WorkloadJob
+from repro.runner.integrity import write_checksum, write_meta
 from repro.runner.tracegc import collect_garbage
+from repro.sim.build import geometry_of
 from repro.sim.config import SystemConfig
+from repro.targets import ingest_file
+from repro.targets.registry import TRACE_DTYPE
 from repro.trace.workloads import Workload
+
+LACKEY_FIXTURE = Path(__file__).parents[1] / "targets" / "fixtures" / "toy.lackey.out"
 
 
 @pytest.fixture
@@ -30,9 +41,9 @@ class TestCollectGarbage:
     def test_referenced_buffers_survive(self, populated_store):
         traces = populated_store / "traces"
         before = sorted(p.name for p in traces.iterdir())
-        # The sweep materialised shared traces and one replay artifact.
-        assert any(name.endswith(".npy") for name in before)
+        # The sweep captured one replay artifact and wrote no trace buffer.
         assert any(name.startswith("replay-") for name in before)
+        assert not any(name.endswith(".npy") for name in before)
         report = collect_garbage(populated_store)
         assert report.removed == []
         assert sorted(p.name for p in traces.iterdir()) == before
@@ -101,10 +112,10 @@ class TestCorruptDetection:
         corrupt_file(target)
         return target
 
-    def test_corrupt_referenced_trace_is_reported_not_deleted(
+    def test_corrupt_referenced_replay_is_reported_not_deleted(
         self, populated_store
     ):
-        target = self._damage_one(populated_store, "*.npy")
+        target = self._damage_one(populated_store, "replay-*.npz")
         report = collect_garbage(populated_store)
         assert target.name in report.corrupt
         # Without --fix the evidence stays put (and is never "removed").
@@ -112,7 +123,8 @@ class TestCorruptDetection:
         assert target.name not in report.removed
 
     def test_fix_quarantines_corrupt_artifacts(self, populated_store):
-        trace = self._damage_one(populated_store, "*.npy")
+        ingest_file(LACKEY_FIXTURE, directory=populated_store / "traces")
+        trace = self._damage_one(populated_store, "target-*.npy")
         replay = self._damage_one(populated_store, "replay-*.npz")
         report = collect_garbage(populated_store, fix=True)
         assert {trace.name, replay.name} <= set(report.corrupt)
@@ -125,7 +137,7 @@ class TestCorruptDetection:
         assert again.corrupt == []
 
     def test_dry_run_never_quarantines(self, populated_store):
-        target = self._damage_one(populated_store, "*.npy")
+        target = self._damage_one(populated_store, "replay-*.npz")
         report = collect_garbage(populated_store, dry_run=True, fix=True)
         assert target.name in report.corrupt and target.exists()
 
@@ -144,6 +156,59 @@ class TestCorruptDetection:
         assert list(traces.glob("*.sha256"))
 
 
+def _legacy_buffer_name(job, core_id: int) -> str:
+    """The content address older builds gave one core's synthetic trace
+    buffer: generator identity plus a chunk count covering twice the
+    job's ``warmup + quota``."""
+    geometry = geometry_of(job.config)
+    n_chunks = -(-round((job.quota + job.warmup) * 2.0) // 4096)
+    blob = json.dumps(
+        {
+            "v": 1,
+            "benchmark": job.benchmarks[core_id],
+            "llc_num_sets": geometry.llc_num_sets,
+            "l2_blocks": geometry.l2_blocks,
+            "l1_blocks": geometry.l1_blocks,
+            "core_id": core_id,
+            "master_seed": job.master_seed,
+            "chunk": 4096,
+            "n_chunks": n_chunks,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:40] + ".npy"
+
+
+class TestOlderStores:
+    def test_synthetic_buffers_are_removed(self, populated_store):
+        """Synthetic trace buffers (and their sidecars) that older builds
+        wrote are garbage even when a stored result's job would have
+        mapped them; pinned targets and referenced captures stay."""
+        traces = populated_store / "traces"
+        spec, _ = ingest_file(LACKEY_FIXTURE, directory=traces)
+        target = traces / f"target-{spec.key}.npy"
+        replays = sorted(traces.glob("replay-*.npz"))
+        job = next(iter(ResultStore(populated_store).records())).job
+        legacy = []
+        for core_id in range(len(job.benchmarks)):
+            path = traces / _legacy_buffer_name(job, core_id)
+            np.save(path, np.zeros(4096, dtype=TRACE_DTYPE))
+            write_checksum(path)
+            write_meta(path, {"kind": "synthetic", "core_id": core_id})
+            legacy += [path.name, f"{path.name}.sha256", f"{path.name}.meta.json"]
+
+        report = collect_garbage(populated_store)
+
+        assert sorted(report.removed) == sorted(legacy)
+        assert not any((traces / name).exists() for name in legacy)
+        assert replays and all(p.exists() for p in replays)
+        assert target.exists()
+        assert (traces / f"{target.name}.sha256").exists()
+        assert (traces / f"{target.name}.meta.json").exists()
+        assert report.corrupt == []
+
+
 class TestCli:
     def test_traces_gc_subcommand(self, populated_store, capsys):
         orphan = populated_store / "traces" / ("0f" * 20 + ".npy")
@@ -156,7 +221,7 @@ class TestCli:
     def test_traces_gc_fix_flag(self, populated_store, capsys):
         from repro.runner.faults import corrupt_file
 
-        target = next(iter(sorted((populated_store / "traces").glob("*.npy"))))
+        target = next(iter(sorted((populated_store / "traces").glob("replay-*.npz"))))
         corrupt_file(target)
         assert (
             main(["traces", "gc", "--fix", "--results-dir", str(populated_store)])

@@ -1,10 +1,9 @@
 """Kill-switch precedence: every env combination picks one documented kernel.
 
-The three kernel-family switches — ``REPRO_NO_FASTPATH``,
-``REPRO_NO_REPLAY`` and ``REPRO_NO_SHARED_TRACES`` — must resolve
-deterministically in the documented precedence order (generic beats
-fused beats replay; shared-trace materialisation is orthogonal).  This
-suite enumerates all eight combinations against
+The two kernel-family switches — ``REPRO_NO_FASTPATH`` and
+``REPRO_NO_REPLAY`` — must resolve deterministically in the documented
+precedence order (generic beats fused beats replay).  This suite
+enumerates all four combinations against
 :func:`repro.sim.multi.kernel_selection`, pins the switches' value
 semantics (any non-empty value sets a switch), and checks end to end
 that a replay-registered ``run_workload`` produces identical results
@@ -27,14 +26,9 @@ from repro.runner.replaystore import (
     install_replay_manifest,
 )
 from repro.sim.multi import kernel_selection, run_workload
-from repro.trace.shared import shared_traces_enabled
 from repro.trace.workloads import Workload
 
-FLAGS = (
-    "REPRO_NO_FASTPATH",
-    "REPRO_NO_REPLAY",
-    "REPRO_NO_SHARED_TRACES",
-)
+FLAGS = ("REPRO_NO_FASTPATH", "REPRO_NO_REPLAY")
 
 COMBOS = list(product((False, True), repeat=len(FLAGS)))
 COMBO_IDS = [
@@ -44,7 +38,7 @@ COMBO_IDS = [
 ]
 
 
-def _expected(no_fastpath, no_replay, _no_shared_traces):
+def _expected(no_fastpath, no_replay):
     if no_fastpath:
         return "generic"
     if no_replay:
@@ -70,17 +64,6 @@ def test_every_combination_resolves_deterministically(combo, monkeypatch):
     assert replay.replay_enabled() == (selected == "replay")
 
 
-def test_shared_traces_switch_never_changes_the_kernel(monkeypatch):
-    for combo in COMBOS:
-        for flag, on in zip(FLAGS, combo):
-            monkeypatch.setenv(flag, "1") if on else monkeypatch.delenv(
-                flag, raising=False
-            )
-        without = kernel_selection()
-        monkeypatch.setenv("REPRO_NO_SHARED_TRACES", "1")
-        assert kernel_selection() == without
-
-
 #: Values that set a switch: the predicates test for a non-empty value.
 ON_VALUES = ("1", "true", "yes", "on")
 
@@ -91,7 +74,6 @@ class TestSwitchValueSemantics:
         monkeypatch.setenv(flag, "")
         assert kernel_selection() == "replay"
         assert fastpath_enabled() and replay.replay_enabled()
-        assert shared_traces_enabled()
 
     @pytest.mark.parametrize("value", ON_VALUES)
     @pytest.mark.parametrize("flag", FLAGS)
@@ -99,7 +81,6 @@ class TestSwitchValueSemantics:
         monkeypatch.setenv(flag, value)
         combo = tuple(f == flag for f in FLAGS)
         assert kernel_selection() == _expected(*combo)
-        assert shared_traces_enabled() == (flag != "REPRO_NO_SHARED_TRACES")
 
 
 def _replay_spy(monkeypatch):

@@ -22,8 +22,7 @@ from repro.targets import (
 )
 from repro.targets.formats import SyntheticInstr, encode_lackey, expected_accesses
 from repro.targets.ingest import DEFAULT_BUDGET, default_name
-from repro.targets.registry import buffer_path, load_registry
-from repro.trace.shared import TRACE_DTYPE
+from repro.targets.registry import TRACE_DTYPE, buffer_path, load_registry
 
 CHAMPSIM_FIXTURE = FIXTURE_DIR / "toy-champsim.trace.gz"
 LACKEY_FIXTURE = FIXTURE_DIR / "toy.lackey.out"

@@ -1,79 +1,65 @@
-"""Provenance sidecars: synthetic buffers record their generator, and
-``traces ls``/``targets info`` render both kinds uniformly."""
+"""Provenance sidecars: ``traces ls``/``targets info`` render every
+artifact under ``traces/`` from its sidecars."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
+import numpy as np
 from make_fixtures import FIXTURE_DIR
 
 from repro.experiments.__main__ import main
-from repro.runner.integrity import read_meta
+from repro.runner.integrity import write_meta
 from repro.runner.tracegc import collect_garbage, list_traces, provenance_line
 from repro.targets import ingest_file
 from repro.targets.registry import buffer_path
-from repro.trace import shared
-from repro.trace.benchmarks import BENCHMARKS, Geometry
 
-GEOM = Geometry(llc_num_sets=64, l2_blocks=128, l1_blocks=32)
 LACKEY_FIXTURE = FIXTURE_DIR / "toy.lackey.out"
 
 
-def materialise_synthetic(traces_dir, benchmark="mcf", seed=3):
-    store = shared.SharedTraceStore(traces_dir)
-    entry = store.materialise(BENCHMARKS[benchmark], GEOM, 0, seed, n_chunks=2)
-    return Path(entry["path"])
+def ingest_lackey(traces_dir):
+    spec, _ = ingest_file(LACKEY_FIXTURE, directory=traces_dir)
+    return spec, buffer_path(traces_dir, spec.key)
 
 
-class TestSyntheticMeta:
-    def test_materialise_records_generator_identity(self, traces_dir):
-        path = materialise_synthetic(traces_dir)
-        meta = read_meta(path)
-        assert meta["kind"] == "synthetic"
-        assert meta["generator"] == "mcf"
-        assert meta["pattern"] == BENCHMARKS["mcf"].pattern
-        assert meta["core_id"] == 0 and meta["master_seed"] == 3
-
-    def test_provenance_lines(self, traces_dir):
-        synthetic = materialise_synthetic(traces_dir)
-        assert "synthetic generator=mcf" in provenance_line(synthetic)
-        spec, _ = ingest_file(LACKEY_FIXTURE, directory=traces_dir)
-        target = buffer_path(traces_dir, spec.key)
+class TestProvenanceLines:
+    def test_ingested_target(self, traces_dir):
+        _, target = ingest_lackey(traces_dir)
         line = provenance_line(target)
         assert "ingested [lackey]" in line
         assert "origin=toy.lackey.out" in line
-        synthetic.with_name(synthetic.name + ".meta.json").unlink()
-        assert provenance_line(synthetic) == "(no provenance recorded)"
+        target.with_name(target.name + ".meta.json").unlink()
+        assert provenance_line(target) == "(no provenance recorded)"
+
+    def test_unrecognised_meta_kind(self, traces_dir):
+        # Buffers written by older builds carry meta kinds nothing writes
+        # any more; they render, but as unrecognised.
+        traces_dir.mkdir(parents=True)
+        legacy = traces_dir / ("ab" * 20 + ".npy")
+        np.save(legacy, np.zeros(4))
+        write_meta(legacy, {"kind": "synthetic", "generator": "mcf"})
+        assert provenance_line(legacy) == "(unrecognised meta kind 'synthetic')"
 
 
 class TestInventory:
-    def test_ls_covers_both_kinds(self, tmp_path, traces_dir):
-        materialise_synthetic(traces_dir)
-        ingest_file(LACKEY_FIXTURE, directory=traces_dir)
+    def test_ls_renders_provenance(self, traces_dir):
+        ingest_lackey(traces_dir)
         inventory = list_traces(traces_dir.parent)
-        rendered = inventory.render()
-        assert len(inventory.entries) == 2
-        assert "synthetic generator=mcf" in rendered
-        assert "ingested [lackey]" in rendered
+        assert len(inventory.entries) == 1
+        assert "ingested [lackey]" in inventory.render()
 
     def test_info_falls_back_to_raw_artifacts(self, traces_dir, capsys):
-        path = materialise_synthetic(traces_dir)
-        rc = main(
-            [
-                "targets",
-                "info",
-                path.name,
-                "--results-dir",
-                str(traces_dir.parent),
-            ]
-        )
-        assert rc == 0
-        assert "synthetic generator=mcf" in capsys.readouterr().out
+        spec, target = ingest_lackey(traces_dir)
+        for item in (target.name, spec.key):
+            rc = main(
+                ["targets", "info", item, "--results-dir", str(traces_dir.parent)]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"{target.name}: ingested [lackey]")
 
 
 class TestGcSidecarSweep:
     def test_orphan_meta_sidecars_are_swept(self, traces_dir):
-        path = materialise_synthetic(traces_dir)
+        _, path = ingest_lackey(traces_dir)
         meta = traces_dir / (path.name + ".meta.json")
         path.unlink()  # orphan both sidecars
         assert meta.is_file()
@@ -81,8 +67,7 @@ class TestGcSidecarSweep:
         assert not meta.is_file()
 
     def test_gc_keeps_sidecars_of_kept_targets(self, traces_dir):
-        spec, _ = ingest_file(LACKEY_FIXTURE, directory=traces_dir)
-        path = buffer_path(traces_dir, spec.key)
+        _, path = ingest_lackey(traces_dir)
         collect_garbage(traces_dir.parent)
         assert path.is_file()
         assert (traces_dir / (path.name + ".meta.json")).is_file()

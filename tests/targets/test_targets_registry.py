@@ -27,7 +27,7 @@ from repro.targets.registry import (
     save_registry,
 )
 from repro.trace.benchmarks import TraceSource
-from repro.trace.shared import make_source
+from repro.trace.benchmarks import make_source
 from repro.trace.workloads import Workload
 
 CHAMPSIM_FIXTURE = FIXTURE_DIR / "toy-champsim.trace.gz"

@@ -9,6 +9,7 @@ from repro.trace.benchmarks import (
     Geometry,
     TraceSource,
     benchmarks_by_class,
+    make_source,
 )
 
 GEO = Geometry(llc_num_sets=64, l2_blocks=128, l1_blocks=64)
@@ -146,3 +147,30 @@ class TestLibraryPcs:
         a = TraceSource(BENCHMARKS["mcf"], GEO, 0)
         b = TraceSource(BENCHMARKS["art"], GEO, 1)
         assert a._private_pc_base != b._private_pc_base
+
+
+class TestMakeSource:
+    def test_synthetic_names_and_specs_get_plain_sources(self):
+        assert type(make_source("mcf", GEO, 0, 5)) is TraceSource
+        assert type(make_source(BENCHMARKS["mcf"], GEO, 0, 5)) is TraceSource
+
+    def test_stream_matches_direct_construction(self):
+        built = make_source("mcf", GEO, 1, 5)
+        plain = TraceSource(BENCHMARKS["mcf"], GEO, 1, 5)
+        for _ in range(2 * TraceSource.CHUNK + 99):
+            assert built.next_access() == plain.next_access()
+        assert built.chunks_generated == plain.chunks_generated == 3
+        assert built._rng.bit_generator.state == plain._rng.bit_generator.state
+
+    def test_chunked_and_scalar_consumption_agree(self):
+        scalar = TraceSource(BENCHMARKS["lbm"], GEO, 0, 9)
+        chunked = TraceSource(BENCHMARKS["lbm"], GEO, 0, 9)
+        stream = []
+        while len(stream) < 2 * TraceSource.CHUNK:
+            addrs, pcs, writes, pos = chunked.next_chunk()
+            stream.extend(
+                zip(addrs[pos:].tolist(), pcs[pos:].tolist(), writes[pos:].tolist())
+            )
+            chunked.commit(len(addrs))
+        assert stream == [scalar.next_access() for _ in range(len(stream))]
+
