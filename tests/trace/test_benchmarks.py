@@ -174,3 +174,55 @@ class TestMakeSource:
             chunked.commit(len(addrs))
         assert stream == [scalar.next_access() for _ in range(len(stream))]
 
+
+    def test_restart_keeps_generator_state(self):
+        # Re-execution rewinds the access pattern, not the RNG: a source
+        # restarted mid-chunk continues drawing where it left off, so twin
+        # sources restarted at the same point stay in lockstep.
+        a = make_source("swapt", GEO, 0, 5)
+        b = TraceSource(BENCHMARKS["swapt"], GEO, 0, 5)
+        for _ in range(TraceSource.CHUNK + 7):
+            a.next_access()
+            b.next_access()
+        state = repr(a._rng.bit_generator.state)
+        a.restart()
+        b.restart()
+        assert repr(a._rng.bit_generator.state) == state
+        for _ in range(2 * TraceSource.CHUNK):
+            assert a.next_access() == b.next_access()
+        assert a.chunks_generated == b.chunks_generated == 4
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_every_benchmark_streams_identically_chunked_and_scalar(name):
+    """``make_source``'s source read chunk-wise (the fused and capture
+    kernels' path) reproduces a directly built source's one-at-a-time
+    stream across chunk boundaries and a mid-chunk restart."""
+    chunked = make_source(name, GEO, 1, 3)
+    scalar = TraceSource(BENCHMARKS[name], GEO, 1, 3)
+    assert type(chunked) is TraceSource
+
+    def take(n):
+        out = []
+        while len(out) < n:
+            addrs, pcs, writes, pos = chunked.next_chunk()
+            end = min(len(addrs), pos + n - len(out))
+            out.extend(
+                zip(
+                    addrs[pos:end].tolist(),
+                    pcs[pos:end].tolist(),
+                    writes[pos:end].tolist(),
+                )
+            )
+            chunked.commit(end)
+        return out
+
+    stream = take(TraceSource.CHUNK + 7)
+    chunked.restart()
+    stream += take(TraceSource.CHUNK)
+    expected = [scalar.next_access() for _ in range(TraceSource.CHUNK + 7)]
+    scalar.restart()
+    expected += [scalar.next_access() for _ in range(TraceSource.CHUNK)]
+    assert stream == expected
+    assert chunked.chunks_generated == scalar.chunks_generated == 3
+    assert chunked._rng.bit_generator.state == scalar._rng.bit_generator.state
