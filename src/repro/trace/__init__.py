@@ -5,6 +5,9 @@ random, mixed ``{a}^k{s}^d``, strided).
 :mod:`repro.trace.benchmarks` — the 38 named Table 4 stand-ins and the
 per-core :class:`~repro.trace.benchmarks.TraceSource` generator.
 :mod:`repro.trace.workloads` — the Table 6 multi-programmed suites.
+:mod:`repro.trace.shared` — the attribute through which
+:func:`~repro.trace.benchmarks.make_source` builds every source, wrapped
+by the end-to-end benchmark's tracer.
 """
 
 from repro.trace.benchmarks import (

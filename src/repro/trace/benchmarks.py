@@ -389,7 +389,19 @@ def make_source(
     :class:`~repro.targets.registry.TargetSpec` objects) dispatch to the
     ingested-trace frontend, which memory-maps its own buffers; every
     other name gets a plain :class:`TraceSource` over its generator.
+
+    The call goes through :meth:`repro.trace.shared.SharedTraceStore.materialise`,
+    the attribute the end-to-end benchmark's tracer wraps to time this layer.
     """
+    from repro.trace.shared import SharedTraceStore  # imports this module
+
+    return SharedTraceStore.materialise(spec, geometry, core_id, master_seed)
+
+
+def _build_source(
+    spec: BenchmarkSpec | str, geometry: Geometry, core_id: int, master_seed: int
+) -> TraceSource:
+    """:func:`make_source`'s dispatch (see there)."""
     if isinstance(spec, str):
         if spec.startswith("tgt:"):
             from repro.targets.registry import make_target_source

@@ -77,6 +77,7 @@ class TestParsePlan:
             "poison:",           # empty substring
             "hang:@0:soon",      # bad duration
             "corrupt-artifact:foo",  # unknown artifact kind
+            "corrupt-artifact:trace",  # removed artifact kind
         ],
     )
     def test_malformed_directives_fail_loudly(self, raw):
@@ -231,13 +232,6 @@ class TestArtifactCorruption:
         assert faulted == clean
         held = quarantined_artifacts(tmp_path / "faulted" / "traces")
         assert any(p.name.startswith("replay-") for p in held)
-
-    def test_trace_artifact_kind_is_rejected(self, monkeypatch):
-        # Nothing writes synthetic trace buffers, so there is no "trace"
-        # artifact to damage: the kind fails to parse like any typo.
-        monkeypatch.setenv("REPRO_FAULT", "corrupt-artifact:trace")
-        with pytest.raises(ValueError, match="corrupt-artifact needs a kind"):
-            faults.plan()
 
     def test_recapture_after_quarantine(self, tmp_path, monkeypatch):
         root = tmp_path / "store"

