@@ -59,6 +59,15 @@ EVENT_DTYPE = np.dtype([("step", "<u8"), ("kind", "u1"), ("addr", "<i8"), ("pc",
 #: Capture artifact layout version (part of every content address).
 CAPTURE_FORMAT = 1
 
+#: Captured-stream over-provisioning beyond the quota-completion index.
+#: Cores that finish early keep running until the slowest core completes,
+#: so each stream is captured ``1 + slack`` times the per-core access
+#: budget; a replay that outruns a stream switches to live private-level
+#: continuation (bit-identical, and the extension is appended to the
+#: bundle so later replays of the same bundle reuse it).  Typical mixes
+#: overrun by a few percent, so the default stays lean.
+REPLAY_SLACK = 0.25
+
 #: Target number of private-state checkpoints per stream (the replay
 #: finaliser re-simulates at most one inter-checkpoint span per core, so
 #: denser checkpoints trade a little capture memory for faster finalised
@@ -583,26 +592,6 @@ class PrivateCoreSim:
 # -- capture drivers -----------------------------------------------------------
 
 
-def replay_slack() -> float:
-    """Captured-stream over-provisioning beyond the quota-completion index.
-
-    Cores that finish early keep running until the slowest core completes,
-    so each stream is captured ``1 + slack`` times the per-core access
-    budget; a replay that outruns a stream switches to live private-level
-    continuation (bit-identical, and the extension is appended to the
-    bundle so later replays of the same bundle reuse it).  Typical mixes
-    overrun by a few percent, so the default stays lean;
-    ``REPRO_REPLAY_SLACK`` tunes it.
-    """
-    import os
-
-    try:
-        value = float(os.environ.get("REPRO_REPLAY_SLACK", "0.25"))
-    except ValueError:
-        value = 0.25
-    return max(0.0, value)
-
-
 def _fresh_private_level(meta: dict, core_id: int):
     """One core's private caches + prefetcher, exactly as the builder wires them."""
     from repro.cache.cache import SetAssociativeCache
@@ -657,7 +646,7 @@ def capture_workload(
     quota: int,
     warmup: int,
     master_seed: int = 0,
-    slack: float | None = None,
+    slack: float = REPLAY_SLACK,
 ) -> CaptureBundle:
     """Capture the private-level streams of one (workload, platform, seed).
 
@@ -666,8 +655,6 @@ def capture_workload(
     returns the bundle the replay kernel consumes.  Sources go through
     :func:`repro.trace.benchmarks.make_source`, like every other run.
     """
-    if slack is None:
-        slack = replay_slack()
     finish = quota + warmup
     n_cap = finish + int(round(slack * finish))
     interval = max(TraceSource.CHUNK, -(-n_cap // _TARGET_CHECKPOINTS))

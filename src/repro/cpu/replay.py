@@ -23,8 +23,10 @@ machine-checks.
 
 Eligibility mirrors the fused kernel (plain-LRU L1s, plain-DRRIP L2s,
 chunked trace sources) plus a bundle whose identity matches the engine;
-``run_replay`` returns ``None`` otherwise and the caller falls back.
-``REPRO_NO_REPLAY`` (or ``REPRO_NO_FASTPATH``) disables the kernel.
+``run_replay`` returns ``None`` otherwise and the caller falls back.  A
+run replays exactly when its caller hands it a bundle
+(:func:`repro.sim.multi.run_workload`); ``REPRO_NO_FASTPATH`` pins the
+generic loop there too.
 
 When a run outlives a captured stream (heavy completion-time skew between
 co-runners) the affected core switches to live private-level continuation
@@ -36,7 +38,6 @@ indistinguishable from a fused-kernel run.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 
 from repro.cpu import capture as cap
@@ -51,7 +52,6 @@ from repro.cpu.fastpath import (
     _RRIP,
     _SHIP,
     _STACK,
-    fastpath_enabled,
     resolve_llc_dispatch,
 )
 from repro.policies.base import BYPASS
@@ -65,11 +65,6 @@ from repro.policies.lru import LruPolicy
 EV_WB0, EV_WB1, EV_ND = cap.EV_WB0, cap.EV_WB1, cap.EV_ND
 EV_DEMAND, EV_BASELINE, EV_SNAPSHOT = cap.EV_DEMAND, cap.EV_BASELINE, cap.EV_SNAPSHOT
 STEP_L2HIT, STEP_LLC = cap.STEP_L2HIT, cap.STEP_LLC
-
-
-def replay_enabled() -> bool:
-    """Replay is on unless ``REPRO_NO_REPLAY`` or ``REPRO_NO_FASTPATH`` is set."""
-    return not os.environ.get("REPRO_NO_REPLAY") and fastpath_enabled()
 
 
 def _eligible(engine, bundle) -> bool:

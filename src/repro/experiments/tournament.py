@@ -12,8 +12,9 @@ Execution goes through the ordinary experiment
 
 * every (workload, policies) batch is prefetched through
   :class:`~repro.runner.parallel.ParallelRunner` — the runner schedules
-  one private-level **capture** per swept platform ahead of the batch via
-  the replay manifest, and replays every policy at LLC-only cost;
+  one private-level **capture** per swept platform ahead of the batch,
+  hands each swept job that capture's artifact path, and replays every
+  policy at LLC-only cost;
 * every result (and every ``IPC_alone`` baseline the report's
   weighted-speed-up metric needs) lands in the persistent result store,
   which is exactly what ``repro-experiments report`` aggregates.

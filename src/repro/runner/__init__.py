@@ -16,7 +16,7 @@ The subsystem has three pieces:
 * :mod:`repro.runner.replaystore` — :class:`ReplayStore`, the
   content-addressed replay-capture artifacts a policy sweep shares (one
   private-level capture per platform, replayed by every swept job), plus
-  the per-process manifest registry;
+  the per-process bundle cache;
 * :mod:`repro.runner.tracegc` — ``repro-experiments traces gc``, pruning
   replay captures no stored result references any more and quarantining
   corrupt artifacts;

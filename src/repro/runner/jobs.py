@@ -109,7 +109,14 @@ class WorkloadJob:
     def cache_key(self) -> str:
         return _digest({"v": SCHEMA_VERSION, **self.to_dict()})
 
-    def execute(self) -> WorkloadResult:
+    def execute(self, capture: str | None = None) -> WorkloadResult:
+        """Run the job; *capture* is its sweep's replay-artifact path, if any.
+
+        The parallel runner passes the path only once the sweep's capture
+        job has succeeded; a damaged artifact loads as ``None`` and the
+        run falls back to the fused kernel.
+        """
+        from repro.runner.replaystore import cached_bundle
         from repro.sim.multi import run_workload
 
         workload = Workload(self.workload_name, self.benchmarks)
@@ -120,6 +127,7 @@ class WorkloadJob:
             quota=self.quota,
             warmup=self.warmup,
             master_seed=self.master_seed,
+            bundle=None if capture is None else cached_bundle(capture),
         )
 
     def result_from_dict(self, data: dict) -> WorkloadResult:

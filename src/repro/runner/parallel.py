@@ -18,11 +18,11 @@ differing only in LLC policy) run a once-per-platform private-level
 *capture* pass (:mod:`repro.runner.replaystore`), so every swept job
 executes on the LLC-only replay kernel and reads no trace at all.
 Captures and sim jobs share one dependency-edged queue: each sweep's
-replays are submitted the moment *its* capture's manifest entry lands,
-so a slow capture never stalls unrelated sweeps.  A batch with no sweep
-is the same queue with no capture jobs in it.  Capture artifacts live
-under ``<store root>/traces/``; with no persistent store a
-runner-lifetime temporary directory holds them.
+replays are submitted the moment *its* capture lands, each carrying that
+capture's artifact path, so a slow capture never stalls unrelated
+sweeps.  A batch with no sweep is the same queue with no capture jobs in
+it.  Capture artifacts live under ``<store root>/traces/``; with no
+persistent store a runner-lifetime temporary directory holds them.
 
 Execution is *supervised* (:mod:`repro.runner.supervisor`): every miss
 is submitted as its own future and collected in completion order, so a
@@ -45,11 +45,7 @@ from pathlib import Path
 
 from repro.runner import faults
 from repro.runner.jobs import SCHEMA_VERSION, Job, job_from_dict
-from repro.runner.replaystore import (
-    ReplayStore,
-    clear_replay_manifest,
-    install_replay_manifest,
-)
+from repro.runner.replaystore import ReplayStore, replay_key
 from repro.runner.store import ResultStore
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
 
@@ -78,12 +74,12 @@ def _execute_task(task: tuple[str, tuple]) -> object:
 
     One pool serves both job families, so a worker alternates freely
     between captures and sims as the dependency-edged queue drains.  A
-    sim task carries the replay-capture manifest; installing it is
-    idempotent (bundles are cached per path), so a worker reusing a
-    process across tasks loads each bundle once — and a *fresh* worker
-    after a pool rebuild needs no re-initialisation beyond its first
-    task.  The job's cache key and attempt number ride along too, for
-    the fault-injection harness.
+    capture that raises fails like any other job: the supervisor retries
+    it, and quarantining it sends its sweep to the fused kernel.  A sim
+    task carries its own sweep's artifact path, or ``None``; bundles are
+    cached per path, so a worker loads each artifact once per sweep.  The
+    job's cache key and attempt number ride along too, for the
+    fault-injection harness.
 
     A sim's wire dict carries a ``_counters`` delta (bundle loads) that
     the parent strips and folds into ``runner.stats``.
@@ -92,25 +88,23 @@ def _execute_task(task: tuple[str, tuple]) -> object:
     if tag == "capture":
         payload, key, attempt = inner
         faults.maybe_fail(key, attempt, allow_exit=True)
-        try:
-            return _materialise_capture(payload)
-        except Exception:
-            # Replay is a pure optimisation: a failed capture costs its
-            # manifest entry, never the batch — the affected sweep runs
-            # on the fused kernel instead.
-            return None
-    payload, replay_manifest, key, attempt = inner
-    install_replay_manifest(replay_manifest)
+        return _materialise_capture(payload)
+    payload, capture, key, attempt = inner
     faults.maybe_fail(key, attempt, allow_exit=True)
     before = _counters_snapshot()
-    result = job_from_dict(payload).execute().to_dict()
+    result = _run_sim(job_from_dict(payload), capture).to_dict()
     after = _counters_snapshot()
     result["_counters"] = {name: after[name] - before[name] for name in after}
     return result
 
 
-def _materialise_capture(payload: dict) -> dict:
-    """Run one capture job (in a worker or inline); returns its entry."""
+def _run_sim(job: Job, capture: str | None):
+    """Execute one sim job; only a swept workload job is handed a capture."""
+    return job.execute() if capture is None else job.execute(capture=capture)
+
+
+def _materialise_capture(payload: dict) -> Path:
+    """Run one capture job (in a worker or inline); returns its path."""
     return ReplayStore(payload["root"]).materialise(
         tuple(payload["benchmarks"]),
         _config_from(payload["config"]),
@@ -228,8 +222,7 @@ class ParallelRunner:
         )
         counters_before = _counters_snapshot()
         try:
-            plan = self._plan_captures([job for _, job in misses])
-            for key, job, outcome in self._execute(supervisor, misses, plan):
+            for key, job, outcome in self._execute(supervisor, misses):
                 if isinstance(outcome, FailureRecord):
                     self.stats["failed"] += 1
                     self.failures.append(outcome)
@@ -251,7 +244,6 @@ class ParallelRunner:
             counters_after = _counters_snapshot()
             for name in counters_after:
                 self.stats[name] += counters_after[name] - counters_before[name]
-            clear_replay_manifest()
 
         return [results.get(key) for key in order]
 
@@ -275,108 +267,98 @@ class ParallelRunner:
             self._trace_tmpdir = tempfile.TemporaryDirectory(prefix="repro-traces-")
         return Path(self._trace_tmpdir.name)
 
-    def _plan_captures(self, jobs: list[Job]) -> dict[tuple, dict]:
-        """Swept capture identities of a miss batch, with worker payloads.
+    def _plan_captures(
+        self, misses: list[tuple[str, Job]]
+    ) -> tuple[list[tuple[str, dict]], dict[str, tuple[str, str]]]:
+        """The capture jobs of a miss batch, and each swept job's route.
 
         A *sweep* is two or more miss jobs sharing one capture identity —
         same workload, private-level platform and budgets, different LLC
-        policy.  Returns ``{identity: payload}`` (the payload already
-        carries the store root); empty when replay is disabled, nothing
-        is swept, or the store root is unavailable — every one of which
-        degrades to the fused kernel.
+        policy.  Returns one ``(capture key, worker payload)`` per sweep,
+        and ``{sim key: (capture key, artifact path)}`` for every swept
+        job.  Both are empty under ``REPRO_NO_FASTPATH``, when nothing is
+        swept, or when the store root is unavailable — every one of which
+        runs the batch without replay.
         """
-        from repro.cpu.replay import replay_enabled
+        from repro.cpu.capture import REPLAY_SLACK
+        from repro.cpu.fastpath import fastpath_enabled
         from repro.sim.build import capture_identity
 
-        if len(jobs) < 2 or not replay_enabled():
-            return {}
-        counts: dict[tuple, int] = {}
-        payloads: dict[tuple, dict] = {}
-        for job in jobs:
-            if job.kind != "workload":
-                continue
-            identity = capture_identity(
-                job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
-            )
-            counts[identity] = counts.get(identity, 0) + 1
-            payloads.setdefault(
-                identity,
-                {
-                    "benchmarks": list(job.benchmarks),
-                    "config": job.config.to_dict(),
-                    "quota": job.quota,
-                    "warmup": job.warmup,
-                    "master_seed": job.master_seed,
-                },
-            )
-        swept = [ident for ident, count in counts.items() if count >= 2]
+        if len(misses) < 2 or not fastpath_enabled():
+            return [], {}
+        sweeps: dict[tuple, list[tuple[str, Job]]] = {}
+        for key, job in misses:
+            if job.kind == "workload":
+                identity = capture_identity(
+                    job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
+                )
+                sweeps.setdefault(identity, []).append((key, job))
+        swept = {ident: members for ident, members in sweeps.items() if len(members) >= 2}
         if not swept:
-            return {}
+            return [], {}
         try:
-            root = str(self.traces_root())
+            store = ReplayStore(self.traces_root())
         except OSError:
-            return {}
-        plan: dict[tuple, dict] = {}
-        for ident in swept:
-            payload = dict(payloads[ident])
-            payload["root"] = root
-            plan[ident] = payload
-        return plan
+            return [], {}
+        capture_jobs: list[tuple[str, dict]] = []
+        routes: dict[str, tuple[str, str]] = {}
+        for identity, members in swept.items():
+            rkey = replay_key(identity, REPLAY_SLACK)
+            ckey = f"capture:{rkey}"
+            job = members[0][1]
+            capture_jobs.append(
+                (
+                    ckey,
+                    {
+                        "root": str(store.root),
+                        "benchmarks": list(job.benchmarks),
+                        "config": job.config.to_dict(),
+                        "quota": job.quota,
+                        "warmup": job.warmup,
+                        "master_seed": job.master_seed,
+                    },
+                )
+            )
+            path = str(store.path_for(rkey))
+            for key, _ in members:
+                routes[key] = (ckey, path)
+        return capture_jobs, routes
 
-    def _execute(
-        self,
-        supervisor: Supervisor,
-        misses: list[tuple[str, Job]],
-        plan: dict[tuple, dict],
-    ):
+    def _execute(self, supervisor: Supervisor, misses: list[tuple[str, Job]]):
         """Dependency-edged execution: captures and sims share one queue.
 
         Every planned capture becomes a supervised job; each swept sim
         job depends on its capture's key, so the supervisor withholds it
-        until the capture's manifest entry lands — and unrelated jobs
-        flow freely around a slow (or hung, or crashed) capture.  Capture
-        outcomes are folded into the growing replay manifest here and
+        until the capture's outcome lands — and unrelated jobs flow
+        freely around a slow (or hung, or crashed) capture.  A swept job
+        is then handed its sweep's artifact path if the capture
+        succeeded, and ``None`` (the fused kernel) if it was quarantined;
+        inline and pool execution take the same route.  Capture outcomes
         never surface to the caller; only sim outcomes are yielded.
         """
-        from repro.cpu.capture import replay_slack
-        from repro.runner.replaystore import replay_key
-        from repro.sim.build import capture_identity
-
-        slack = replay_slack()
-        capture_jobs: list[tuple[str, dict]] = []
-        routes: dict[tuple, str] = {}
-        for identity, payload in plan.items():
-            ckey = f"capture:{replay_key(identity, slack)}"
-            routes[identity] = ckey
-            capture_jobs.append((ckey, payload))
-        dependencies: dict[str, str] = {}
-        for key, job in misses:
-            if job.kind != "workload":
-                continue
-            identity = capture_identity(
-                job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
-            )
-            ckey = routes.get(identity)
-            if ckey is not None:
-                dependencies[key] = ckey
+        capture_jobs, routes = self._plan_captures(misses)
         capture_keys = {ckey for ckey, _ in capture_jobs}
-        replay_manifest: list[dict] = []
+        captured: set[str] = set()
+
+        def capture_for(key: str) -> str | None:
+            route = routes.get(key)
+            if route is None or route[0] not in captured:
+                return None
+            return route[1]
 
         def task_for(key, job, attempt):
             if key in capture_keys:
                 return ("capture", (job, key, attempt))
-            # Snapshot at submit time: the job's capture (if any) has
-            # already landed, so its entry is aboard.
-            return ("sim", (job.to_dict(), list(replay_manifest), key, attempt))
+            return ("sim", (job.to_dict(), capture_for(key), key, attempt))
 
         def inline_fn(key, job):
             if key in capture_keys:
                 return _materialise_capture(job)
-            return job.execute()
+            return _run_sim(job, capture_for(key))
 
         def decode(job, data):
             if not isinstance(job, Job):
-                return data  # capture outcome: the manifest entry (or None)
+                return data  # capture outcome: the artifact path
             counters = data.pop("_counters", None)
             if counters:
                 for name, value in counters.items():
@@ -389,15 +371,13 @@ class ParallelRunner:
             task_for=task_for,
             inline_fn=inline_fn,
             decode=decode,
-            dependencies=dependencies,
+            dependencies={key: ckey for key, (ckey, _) in routes.items()},
         ):
             if key in capture_keys:
-                # A FailureRecord or None here only costs the sweep its
-                # replay kernel; the parent install keeps inline
-                # execution and the manifest snapshots coherent.
-                if isinstance(outcome, dict):
-                    replay_manifest.append(outcome)
-                    install_replay_manifest(replay_manifest)
+                # A quarantined capture only costs its sweep the replay
+                # kernel: its jobs are handed no path.
+                if not isinstance(outcome, FailureRecord):
+                    captured.add(key)
                 continue
             yield key, job, outcome
 

@@ -1,4 +1,4 @@
-"""Content-addressed replay-capture artifacts and their per-process registry.
+"""Content-addressed replay-capture artifacts and the per-path bundle cache.
 
 The result store's ``traces/`` directory holds one ``replay-<key>.npz``
 per distinct ``(workload, private-level platform, budgets, seed)``, next
@@ -17,18 +17,17 @@ The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 1. the parent scans a miss batch for platform identities swept by two or
    more jobs and schedules one **capture job** per identity ahead of the
    batch (through the same worker pool, so captures parallelise);
-2. the resulting manifest rides along with every sim task;
-   :func:`install_replay_manifest` registers the artifacts in the
-   executing process;
-3. :func:`active_replay_bundle` (consulted by
-   :func:`repro.sim.multi.run_workload`) lazily loads and caches the
-   bundle for a registered identity, so every swept job runs on the
-   replay kernel with an automatic fallback to the fused loop;
-4. the parent clears the registry after the batch; files persist and are
-   reused content-addressed by later invocations.
+2. each swept sim task carries its own sweep's artifact path — known to
+   the parent from :meth:`ReplayStore.path_for` — once that capture has
+   succeeded, and ``None`` otherwise;
+3. :meth:`repro.runner.jobs.WorkloadJob.execute` loads the path through
+   :func:`cached_bundle` (a small per-process LRU, so a worker loads each
+   artifact once per sweep) and hands the bundle to
+   :func:`repro.sim.multi.run_workload`, which replays it or falls back
+   to the fused loop;
+4. files persist and are reused content-addressed by later invocations.
 
-``REPRO_NO_REPLAY`` (or ``REPRO_NO_FASTPATH``) disables the whole
-mechanism; results are bit-identical either way.
+Results are bit-identical whichever kernel runs a job.
 """
 
 from __future__ import annotations
@@ -163,15 +162,10 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
 
 
 class ReplayStore:
-    """Capture artifacts under a store's ``traces/`` directory.
-
-    ``stats`` counts real capture work (``captured``) separately from
-    warm-store reuse (``reused``).
-    """
+    """Capture artifacts under a store's ``traces/`` directory."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.stats = {"captured": 0, "reused": 0}
 
     def path_for(self, key: str) -> Path:
         return self.root / f"replay-{key}.npz"
@@ -183,40 +177,33 @@ class ReplayStore:
         quota: int,
         warmup: int,
         master_seed: int,
-    ) -> dict:
-        """Capture (or find) one artifact; returns its manifest entry."""
-        from repro.cpu.capture import capture_workload, replay_slack
+    ) -> Path:
+        """Capture (or find) one artifact; returns its path."""
+        from repro.cpu.capture import REPLAY_SLACK, capture_workload
         from repro.sim.build import capture_identity
 
         identity = capture_identity(benchmarks, config, quota, warmup, master_seed)
-        slack = replay_slack()
-        key = replay_key(identity, slack)
-        path = self.path_for(key)
+        path = self.path_for(replay_key(identity, REPLAY_SLACK))
         if path.is_file() and verify_artifact(path) is False:
             # Damage found before reuse: preserve the evidence out of the
             # live namespace and fall through to a fresh capture.
             quarantine(path, reason="replay checksum mismatch")
-        if path.is_file():
-            self.stats["reused"] += 1
-        else:
+        if not path.is_file():
             bundle = capture_workload(
-                tuple(benchmarks), config, quota, warmup, master_seed, slack
+                tuple(benchmarks), config, quota, warmup, master_seed, REPLAY_SLACK
             )
             save_bundle(bundle, path)
             write_checksum(path)
             faults.corrupt_artifact("replay", path, path.name)
-            self.stats["captured"] += 1
-        return {"identity": list(identity), "path": str(path)}
+        return path
 
 
-# -- per-process registry ------------------------------------------------------
+# -- per-process bundle cache --------------------------------------------------
 
-#: Identity tuple -> artifact path, installed from a manifest.
-_ACTIVE: dict[tuple, str] = {}
-#: Path -> loaded bundle (LRU), so repeated installs/jobs reuse one load
-#: (and share any live tape extensions within the process).  Bounded: a
-#: loaded bundle expands its arrays into Python lists, so an unbounded
-#: cache would grow a long-lived worker by one platform per sweep.
+#: Path -> loaded bundle (LRU), so a sweep's jobs reuse one load (and share
+#: any live tape extensions within the process).  Bounded: a loaded bundle
+#: expands its arrays into Python lists, so an unbounded cache would grow
+#: a long-lived worker by one platform per sweep.
 _BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
 _BUNDLE_CACHE_LIMIT = 4
 
@@ -227,44 +214,14 @@ _BUNDLE_CACHE_LIMIT = 4
 REGISTRY_STATS = {"bundle_loads": 0}
 
 
-def _freeze(identity) -> tuple:
-    return (tuple(identity[0]),) + tuple(identity[1:])
-
-
-def install_replay_manifest(entries: list[dict]) -> None:
-    """Register every manifest artifact for :func:`active_replay_bundle`."""
-    active: dict[tuple, str] = {}
-    for entry in entries:
-        try:
-            active[_freeze(entry["identity"])] = entry["path"]
-        except (KeyError, TypeError):
-            continue
-    _ACTIVE.clear()
-    _ACTIVE.update(active)
-
-
-def clear_replay_manifest() -> None:
-    """Drop the registry (loaded bundles stay cached for a later install)."""
-    _ACTIVE.clear()
-
-
-def active_replay_bundle(
-    benchmarks: tuple[str, ...], config, quota: int, warmup: int, master_seed: int
-):
-    """The registered capture bundle for one run identity, or ``None``.
+def cached_bundle(path: str | Path) -> CaptureBundle | None:
+    """The capture bundle stored at *path*, or ``None``.
 
     Loads the artifact on first use and caches it per path; an unreadable
-    or mismatched file registers as a permanent miss, so the affected jobs
+    or damaged file caches as a permanent miss, so the affected jobs
     simply run on the fused kernel.
     """
-    if not _ACTIVE:
-        return None
-    from repro.sim.build import capture_identity
-
-    identity = capture_identity(benchmarks, config, quota, warmup, master_seed)
-    path = _ACTIVE.get(identity)
-    if path is None:
-        return None
+    path = str(path)
     if path not in _BUNDLES:
         while len(_BUNDLES) >= _BUNDLE_CACHE_LIMIT:
             _BUNDLES.popitem(last=False)

@@ -29,9 +29,9 @@ dependency's outcome has been *yielded*, success or quarantine alike
 (edges order work, they never veto it), so the caller can fold the
 dependency's product into the dependent's payload before it is built.
 
-Workers need no special re-initialisation after a rebuild: the replay
-manifest rides along inside every sim task payload, so a fresh worker
-re-installs it on its first task.
+Workers need no special re-initialisation after a rebuild: each sim
+task payload carries everything its job needs (including its sweep's
+replay-artifact path), so a fresh worker is ready on its first task.
 
 Inline execution (``workers <= 1``, single-job batches, or a degraded
 pool) goes through the same retry/quarantine path; only timeouts are

@@ -1,9 +1,9 @@
 """The scalar capture pass and its artifacts, checked against the kernels.
 
 * **sweep routing** — every golden case, run through
-  :func:`repro.sim.multi.run_workload` with a store-materialised artifact
-  registered (the path a policy sweep takes, replaying with
-  ``finalize=False``), returns exactly the fused kernel's result;
+  :meth:`repro.runner.jobs.WorkloadJob.execute` handed a
+  store-materialised artifact (the path a policy sweep takes, replaying
+  with ``finalize=False``), returns exactly the fused kernel's result;
 * **capture slack** — a lean capture (every overrun served by live-tail
   continuation) and a generous one both drive the replay kernel to the
   committed golden fixtures;
@@ -11,7 +11,8 @@
   capture to byte-identical artifacts, in memory and after a save/load
   round trip (checkpoints embed the complete private-level state, so
   this is state-for-state reproducibility);
-* **slack parsing** — the ``REPRO_REPLAY_SLACK`` value semantics.
+* **fixed slack** — the retired ``REPRO_REPLAY_SLACK`` and
+  ``REPRO_NO_REPLAY`` names change neither the artifact key nor a result.
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ from repro.golden import (
     golden_config,
     run_case,
 )
+from repro.runner import ParallelRunner, WorkloadJob, replaystore
 from repro.runner.replaystore import (
     ReplayStore,
-    clear_replay_manifest,
     identity_from_meta,
-    install_replay_manifest,
     load_bundle,
+    replay_key,
     save_bundle,
 )
 from repro.sim.build import capture_identity
 from repro.sim.config import CacheLevelConfig, SystemConfig
-from repro.sim.multi import run_workload
 from repro.trace.workloads import Workload
 from tests.golden.test_golden_master import CASE_IDS, CASES, _load
 
@@ -58,9 +58,6 @@ BENCH_POOL = ("mcf", "libq", "gcc", "calc", "astar")
 def _clean_state(monkeypatch):
     for flag in ("REPRO_NO_FASTPATH", "REPRO_NO_REPLAY", "REPRO_REPLAY_SLACK"):
         monkeypatch.delenv(flag, raising=False)
-    clear_replay_manifest()
-    yield
-    clear_replay_manifest()
 
 
 def _config(num_cores: int, prefetch: bool) -> SystemConfig:
@@ -108,27 +105,22 @@ class TestSweepRouting:
     @pytest.mark.parametrize(
         ("policy", "workload", "benchmarks", "platform"), CASES, ids=CASE_IDS
     )
-    def test_registered_artifact_matches_fused(
+    def test_handed_artifact_matches_fused(
         self, policy, workload, benchmarks, platform, golden_store, monkeypatch
     ):
         config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
-        entry = golden_store.materialise(
+        path = golden_store.materialise(
             tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
         )
-
-        def run():
-            return run_workload(
-                Workload(workload, tuple(benchmarks)),
-                config,
-                policy,
-                quota=QUOTA,
-                warmup=WARMUP,
-                master_seed=MASTER_SEED,
-            ).to_dict()
-
-        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-        fused = run()
-        monkeypatch.delenv("REPRO_NO_REPLAY")
+        job = WorkloadJob.for_workload(
+            Workload(workload, tuple(benchmarks)),
+            config,
+            policy,
+            quota=QUOTA,
+            warmup=WARMUP,
+            master_seed=MASTER_SEED,
+        )
+        fused = job.execute().to_dict()
 
         replayed = []
         run_replay = replay.run_replay
@@ -139,9 +131,8 @@ class TestSweepRouting:
             return snapshots
 
         monkeypatch.setattr(replay, "run_replay", spy)
-        install_replay_manifest([entry])
-        assert run() == fused
-        # Observable proof the registered artifact drove the run.
+        assert job.execute(capture=str(path)).to_dict() == fused
+        # Observable proof the handed artifact drove the run.
         assert replayed == [True]
 
 
@@ -219,16 +210,38 @@ class TestCaptureDeterminism:
         )
 
 
-# -- slack parsing -------------------------------------------------------------
+# -- fixed slack ---------------------------------------------------------------
 
 
-class TestReplaySlack:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [(None, 0.25), ("0.5", 0.5), ("garbage", 0.25), ("-1", 0.0)],
-        ids=["default", "explicit", "garbage", "negative-clamps"],
-    )
-    def test_value_semantics(self, raw, expected, monkeypatch):
-        if raw is not None:
-            monkeypatch.setenv("REPRO_REPLAY_SLACK", raw)
-        assert cap.replay_slack() == expected
+class TestRetiredReplaySwitches:
+    def test_env_names_change_neither_key_nor_result(self, tiny_config, monkeypatch):
+        """``REPRO_REPLAY_SLACK`` and ``REPRO_NO_REPLAY`` are no longer
+        read: a sweep under them captures the same artifact (same content
+        address, ``REPLAY_SLACK`` recorded) and returns the same results."""
+
+        def sweep():
+            replaystore._BUNDLES.clear()
+            jobs = [
+                WorkloadJob.for_workload(
+                    Workload("retired", ("mcf", "libq")),
+                    tiny_config.with_cores(2),
+                    policy,
+                    quota=300,
+                    warmup=100,
+                    master_seed=0,
+                )
+                for policy in ("lru", "ship")
+            ]
+            with ParallelRunner(jobs=1) as runner:
+                results = [r.to_dict() for r in runner.run(jobs)]
+                artifacts = sorted(p.name for p in runner.traces_root().glob("replay-*.npz"))
+                assert runner.stats["bundle_loads"] == 1
+            return results, artifacts
+
+        job = (("mcf", "libq"), tiny_config.with_cores(2), 300, 100, 0)
+        expected_key = replay_key(capture_identity(*job), cap.REPLAY_SLACK)
+        default = sweep()
+        assert default[1] == [f"replay-{expected_key}.npz"]
+        monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")
+        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        assert sweep() == default

@@ -7,17 +7,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cpu import replay as replay_mod
+from repro.cpu import capture as cap
 from repro.cpu.capture import CoreTape, capture_workload
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
 from repro.golden import QUOTA, WARMUP, golden_config
 from repro.runner import ParallelRunner, ResultStore, WorkloadJob
+from repro.runner import replaystore
 from repro.runner.replaystore import (
+    REGISTRY_STATS,
     ReplayStore,
-    active_replay_bundle,
-    clear_replay_manifest,
-    install_replay_manifest,
+    cached_bundle,
     load_bundle,
     replay_key,
     save_bundle,
@@ -30,10 +30,10 @@ WORKLOAD = Workload("g", BENCHMARKS)
 
 
 @pytest.fixture(autouse=True)
-def _clean_registry():
-    clear_replay_manifest()
+def _clean_bundle_cache():
+    replaystore._BUNDLES.clear()
     yield
-    clear_replay_manifest()
+    replaystore._BUNDLES.clear()
 
 
 def _engine(policy="tadrrip", config=None, quota=QUOTA, warmup=WARMUP):
@@ -180,16 +180,23 @@ class TestEligibility:
         engine.sources = [_NextAccessOnly(s) for s in engine.sources]
         assert run_replay(engine, bundle) is None
 
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-        assert not replay_mod.replay_enabled()
-        monkeypatch.delenv("REPRO_NO_REPLAY")
-        # Replay is morally part of the fast path: the fast-path kill
-        # switch disables it too (differential runs stay generic).
+    def test_kill_switch_plans_no_capture(self, tmp_path, monkeypatch):
+        # Replay is morally part of the fast path: under the fast-path
+        # kill switch a sweep plans no capture (differential runs stay
+        # generic end to end).
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert not replay_mod.replay_enabled()
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        assert replay_mod.replay_enabled()
+        store = ResultStore(tmp_path / "results")
+        jobs = [
+            WorkloadJob.for_workload(
+                WORKLOAD, golden_config(), p, quota=200, warmup=50, master_seed=0
+            )
+            for p in ("lru", "ship")
+        ]
+        runner = ParallelRunner(jobs=1, store=store)
+        assert runner._plan_captures([(job.cache_key(), job) for job in jobs]) == ([], {})
+        runner.run(jobs)
+        assert not list((tmp_path / "results" / "traces").glob("replay-*.npz"))
+        assert runner.stats["bundle_loads"] == 0
 
 
 class TestLiveTail:
@@ -273,29 +280,34 @@ class TestArtifactStore:
         missing = tmp_path / "replay-missing.npz"
         assert load_bundle(missing) is None
 
-    def test_materialise_is_content_addressed_and_reused(self, tmp_path):
+    def test_materialise_is_content_addressed_and_reused(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path)
         config = golden_config()
-        entry = store.materialise(BENCHMARKS, config, 200, 50, 0)
+        path = store.materialise(BENCHMARKS, config, 200, 50, 0)
         ident = capture_identity(BENCHMARKS, config, 200, 50, 0)
-        from repro.cpu.capture import replay_slack
+        assert path == store.path_for(replay_key(ident, cap.REPLAY_SLACK))
+        assert path == tmp_path / f"replay-{replay_key(ident, 0.25)}.npz"
+        # A second materialise reuses the file: no capture runs.
+        monkeypatch.setattr(cap, "capture_workload", None)
+        assert store.materialise(BENCHMARKS, config, 200, 50, 0) == path
 
-        assert entry["path"] == str(
-            tmp_path / f"replay-{replay_key(ident, replay_slack())}.npz"
-        )
-        assert store.stats == {"captured": 1, "reused": 0}
-        store.materialise(BENCHMARKS, config, 200, 50, 0)
-        assert store.stats == {"captured": 1, "reused": 1}
-
-    def test_manifest_registry_round_trip(self, tmp_path):
+    def test_bundle_cache_loads_each_path_once(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path)
         config = golden_config()
-        entry = store.materialise(BENCHMARKS, config, 200, 50, 0)
-        install_replay_manifest([entry])
-        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is not None
-        assert active_replay_bundle(BENCHMARKS, config, 200, 51, 0) is None
-        clear_replay_manifest()
-        assert active_replay_bundle(BENCHMARKS, config, 200, 50, 0) is None
+        first = str(store.materialise(BENCHMARKS, config, 200, 50, 0))
+        second = str(store.materialise(BENCHMARKS, config, 200, 51, 0))
+        loads = REGISTRY_STATS["bundle_loads"]
+        bundle = cached_bundle(first)
+        assert bundle is not None and bundle.meta["warmup"] == 50
+        assert cached_bundle(first) is bundle
+        assert cached_bundle(second).meta["warmup"] == 51
+        assert REGISTRY_STATS["bundle_loads"] == loads + 2
+        # Bounded LRU: filling the cache with other paths evicts *first*.
+        monkeypatch.setattr(replaystore, "load_bundle", lambda path: None)
+        for i in range(replaystore._BUNDLE_CACHE_LIMIT):
+            cached_bundle(str(tmp_path / f"missing-{i}.npz"))
+        assert first not in replaystore._BUNDLES
+        assert len(replaystore._BUNDLES) == replaystore._BUNDLE_CACHE_LIMIT
 
 
 class TestRunnerIntegration:
@@ -309,18 +321,13 @@ class TestRunnerIntegration:
             for p in self.POLICIES
         ]
 
-    def test_sweep_results_identical_with_and_without_replay(
-        self, tmp_path, monkeypatch
-    ):
+    def test_sweep_results_identical_with_and_without_replay(self, tmp_path):
         config = golden_config()
         store = ResultStore(tmp_path / "results")
-        replayed = ParallelRunner(jobs=1, store=store, use_cache=False).run(
-            self._jobs(config)
-        )
-        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-        fused = ParallelRunner(jobs=1, store=store, use_cache=False).run(
-            self._jobs(config)
-        )
+        runner = ParallelRunner(jobs=1, store=store, use_cache=False)
+        replayed = runner.run(self._jobs(config))
+        assert runner.stats["bundle_loads"] == 1
+        fused = [job.execute() for job in self._jobs(config)]
         assert [r.to_dict() for r in replayed] == [r.to_dict() for r in fused]
 
     def test_sweep_materialises_one_artifact(self, tmp_path):

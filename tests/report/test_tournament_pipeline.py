@@ -150,15 +150,16 @@ def test_config_hash_unaffected_by_kernel_selection(
     results_dir, tmp_path, monkeypatch
 ):
     """Kernel selection is invisible to the snapshot identity: a sweep
-    executed on the fused kernel (replay disabled) produces the same
-    ``config_hash`` — and, the kernels being bit-identical, the same
-    policy rows — as the default replay-kernel run.  The committed
-    ``BENCH_tournament.json`` therefore stays comparable whichever
-    kernel ran it, and must *not* be regenerated for a kernel change."""
+    executed on the generic reference loop (``REPRO_NO_FASTPATH``: no
+    capture, no replay) produces the same ``config_hash`` — and, the
+    kernels being bit-identical, the same policy rows — as the default
+    replay-kernel run.  The committed ``BENCH_tournament.json`` therefore
+    stays comparable whichever kernel ran it, and must *not* be
+    regenerated for a kernel change."""
     baseline = build_snapshot(
         report_from_store(ResultStore(results_dir), n_resamples=100)
     )
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
     out = tmp_path / "fused-store"
     run = run_tournament(
         SystemConfig.scaled(4),
@@ -170,10 +171,11 @@ def test_config_hash_unaffected_by_kernel_selection(
         settings=TINY,
     )
     assert run.executed > 0  # a fresh store: nothing came from cache
-    fused = build_snapshot(report_from_store(ResultStore(out), n_resamples=100))
-    assert fused["config_hash"] == baseline["config_hash"]
-    assert fused["run_id"] == baseline["run_id"]
-    assert fused["policies"] == baseline["policies"]
+    assert not list((out / "traces").glob("replay-*.npz"))
+    generic = build_snapshot(report_from_store(ResultStore(out), n_resamples=100))
+    assert generic["config_hash"] == baseline["config_hash"]
+    assert generic["run_id"] == baseline["run_id"]
+    assert generic["policies"] == baseline["policies"]
 
 
 def test_snapshot_round_trip_and_regression(results_dir):

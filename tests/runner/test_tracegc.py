@@ -61,16 +61,22 @@ class TestCollectGarbage:
         assert report.freed_bytes == 128
         assert not orphan_trace.exists() and not orphan_replay.exists()
 
-    def test_replay_artifacts_survive_a_slack_change(
-        self, populated_store, monkeypatch
-    ):
+    def test_replay_artifacts_survive_a_slack_change(self, populated_store):
         """Artifacts are matched by their embedded capture identity, so a
-        gc run under a different REPRO_REPLAY_SLACK (which changes the
-        content address) must not delete still-referenced captures."""
+        capture written with another slack (which changes the content
+        address) is kept while a stored result references its identity."""
+        from repro.cpu.capture import capture_workload
+        from repro.runner.replaystore import replay_key, save_bundle
+        from repro.sim.build import capture_identity
+
         traces = populated_store / "traces"
+        config = SystemConfig.scaled(16).with_cores(2)
+        job = (("mcf", "libq"), config, 300, 80, 0)
+        other = traces / f"replay-{replay_key(capture_identity(*job), 0.9)}.npz"
+        save_bundle(capture_workload(*job, slack=0.9), other)
+        write_checksum(other)
         before = {p.name for p in traces.glob("replay-*.npz")}
-        assert before
-        monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")
+        assert len(before) == 2 and other.name in before
         report = collect_garbage(populated_store)
         assert report.removed == []
         assert {p.name for p in traces.glob("replay-*.npz")} == before

@@ -1,14 +1,13 @@
-"""Kill-switch precedence: every env combination picks one documented kernel.
+"""Which kernel runs a workload: the bundle it is handed, then the switch.
 
-The two kernel-family switches — ``REPRO_NO_FASTPATH`` and
-``REPRO_NO_REPLAY`` — must resolve deterministically in the documented
-precedence order (generic beats fused beats replay).  This suite
-enumerates all four combinations against
-:func:`repro.sim.multi.kernel_selection`, pins the switches' value
-semantics (any non-empty value sets a switch), and checks end to end
-that a replay-registered ``run_workload`` produces identical results
-whichever kernel the switches resolve to — and degrades to the fused
-kernel whenever the registry cannot serve the run.
+A run replays exactly when it is handed a capture bundle; without one it
+runs the fused kernel, and ``REPRO_NO_FASTPATH`` — the one kernel switch
+— pins the generic reference loop whatever the run was handed.  This
+suite enumerates every (bundle, switch) combination through
+:func:`repro.sim.multi.run_workload`, observes which kernel actually ran,
+pins the switch's value semantics (any non-empty value sets it), and
+checks that every resolution produces the identical result — including
+the degraded routes (a foreign bundle, a damaged artifact).
 """
 
 from __future__ import annotations
@@ -17,210 +16,167 @@ from itertools import product
 
 import pytest
 
-from repro.cpu import replay
+from repro.cpu import fastpath, replay
 from repro.cpu.fastpath import fastpath_enabled
 from repro.golden import golden_config
-from repro.runner.replaystore import (
-    ReplayStore,
-    clear_replay_manifest,
-    install_replay_manifest,
-)
-from repro.sim.multi import kernel_selection, run_workload
+from repro.runner import WorkloadJob, replaystore
+from repro.runner.replaystore import ReplayStore, cached_bundle
+from repro.sim.multi import run_workload
 from repro.trace.workloads import Workload
 
-FLAGS = ("REPRO_NO_FASTPATH", "REPRO_NO_REPLAY")
+BENCHMARKS = ("mcf", "libq")
+QUOTA, WARMUP = 300, 100
 
-COMBOS = list(product((False, True), repeat=len(FLAGS)))
-COMBO_IDS = [
-    "+".join(flag.replace("REPRO_", "") for flag, on in zip(FLAGS, combo) if on)
-    or "none"
-    for combo in COMBOS
-]
+#: The bundle a run is handed: none, its own capture, or another seed's.
+BUNDLES = ("none", "matching", "foreign")
+COMBOS = list(product(BUNDLES, (False, True)))
+COMBO_IDS = [f"{bundle}{'+NO_FASTPATH' if off else ''}" for bundle, off in COMBOS]
 
 
-def _expected(no_fastpath, no_replay):
+def _expected(bundle: str, no_fastpath: bool) -> str:
     if no_fastpath:
         return "generic"
-    if no_replay:
-        return "fast"
-    return "replay"
+    return "replay" if bundle == "matching" else "fast"
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for flag in FLAGS:
-        monkeypatch.delenv(flag, raising=False)
+    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    replaystore._BUNDLES.clear()
+    yield
+    replaystore._BUNDLES.clear()
 
 
-@pytest.mark.parametrize("combo", COMBOS, ids=COMBO_IDS)
-def test_every_combination_resolves_deterministically(combo, monkeypatch):
-    for flag, on in zip(FLAGS, combo):
-        if on:
-            monkeypatch.setenv(flag, "1")
-    assert kernel_selection() == _expected(*combo)
-    # The predicates agree with the resolution.
-    selected = kernel_selection()
-    assert fastpath_enabled() == (selected != "generic")
-    assert replay.replay_enabled() == (selected == "replay")
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    """The seed-0 capture of the suite's workload, on disk."""
+    store = ReplayStore(tmp_path_factory.mktemp("selection"))
+    return str(store.materialise(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0))
 
 
-#: Values that set a switch: the predicates test for a non-empty value.
-ON_VALUES = ("1", "true", "yes", "on")
+def _run(bundle=None, seed=0) -> dict:
+    return run_workload(
+        Workload("sel", BENCHMARKS),
+        golden_config(),
+        "tadrrip",
+        quota=QUOTA,
+        warmup=WARMUP,
+        master_seed=seed,
+        bundle=bundle,
+    ).to_dict()
 
 
-class TestSwitchValueSemantics:
-    @pytest.mark.parametrize("flag", FLAGS)
-    def test_empty_value_is_unset(self, flag, monkeypatch):
-        monkeypatch.setenv(flag, "")
-        assert kernel_selection() == "replay"
-        assert fastpath_enabled() and replay.replay_enabled()
-
-    @pytest.mark.parametrize("value", ON_VALUES)
-    @pytest.mark.parametrize("flag", FLAGS)
-    def test_non_empty_value_sets_the_switch(self, flag, value, monkeypatch):
-        monkeypatch.setenv(flag, value)
-        combo = tuple(f == flag for f in FLAGS)
-        assert kernel_selection() == _expected(*combo)
-
-
-def _replay_spy(monkeypatch):
-    """Record every ``run_replay`` call: its finalize flag and success."""
+def _kernel_spy(monkeypatch) -> list:
+    """Record every kernel entry: ``(kernel, finalize, ran)`` per call."""
     calls = []
-    run_replay = replay.run_replay
+    run_replay, run_fast = replay.run_replay, fastpath.run_fast
 
-    def spy(*args, **kwargs):
+    def replay_spy(*args, **kwargs):
         snapshots = run_replay(*args, **kwargs)
-        calls.append((kwargs.get("finalize", True), snapshots is not None))
+        calls.append(("replay", kwargs.get("finalize", True), snapshots is not None))
         return snapshots
 
-    monkeypatch.setattr(replay, "run_replay", spy)
+    def fast_spy(*args, **kwargs):
+        snapshots = run_fast(*args, **kwargs)
+        calls.append(("fast", None, snapshots is not None))
+        return snapshots
+
+    monkeypatch.setattr(replay, "run_replay", replay_spy)
+    monkeypatch.setattr(fastpath, "run_fast", fast_spy)
     return calls
 
 
+def _ran(calls: list) -> str:
+    """The kernel that produced the snapshots (``generic`` if none did)."""
+    for kernel, _, ran in calls:
+        if ran:
+            return kernel
+    return "generic"
+
+
+@pytest.mark.parametrize("combo", COMBOS, ids=COMBO_IDS)
+def test_each_combination_runs_one_kernel_and_agrees(combo, artifact, monkeypatch):
+    bundle_kind, no_fastpath = combo
+    # The artifact is the seed-0 capture: a seed-1 run finds it foreign.
+    seed = 1 if bundle_kind == "foreign" else 0
+    fused = _run(seed=seed)
+    bundle = None if bundle_kind == "none" else cached_bundle(artifact)
+    if no_fastpath:
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+    calls = _kernel_spy(monkeypatch)
+    assert _run(bundle, seed=seed) == fused
+    assert _ran(calls) == _expected(*combo)
+    if no_fastpath:
+        # The switch pins the reference loop before any kernel is tried.
+        assert calls == []
+
+
+#: Values that set the switch: the predicate tests for a non-empty value.
+ON_VALUES = ("1", "true", "yes", "0")
+
+
+class TestSwitchValueSemantics:
+    def test_empty_value_is_unset(self, artifact, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "")
+        assert fastpath_enabled()
+        calls = _kernel_spy(monkeypatch)
+        _run(cached_bundle(artifact))
+        assert _ran(calls) == "replay"
+
+    @pytest.mark.parametrize("value", ON_VALUES)
+    def test_non_empty_value_sets_the_switch(self, value, artifact, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_FASTPATH", value)
+        assert not fastpath_enabled()
+        calls = _kernel_spy(monkeypatch)
+        _run(cached_bundle(artifact))
+        assert calls == []
+
+
 class TestRunWorkloadRouting:
-    """The resolved kernel actually drives a replay-registered run — and
-    every resolution produces the identical result."""
+    """A handed bundle actually drives the run — and every route produces
+    the identical result."""
 
-    BENCHMARKS = ("mcf", "libq")
-    QUOTA, WARMUP = 300, 100
-
-    def _run(self, config, seed=0):
-        return run_workload(
-            Workload("sel", self.BENCHMARKS),
-            config,
-            "tadrrip",
-            quota=self.QUOTA,
-            warmup=self.WARMUP,
-            master_seed=seed,
-        ).to_dict()
-
-    def test_all_kernels_agree_end_to_end(self, tmp_path, monkeypatch):
-        config = golden_config()
-        store = ReplayStore(tmp_path)
-        entry = store.materialise(
-            self.BENCHMARKS, config, self.QUOTA, self.WARMUP, 0
-        )
-        replayed = []
-        run_replay = replay.run_replay
-
-        def spy(*args, **kwargs):
-            snapshots = run_replay(*args, **kwargs)
-            replayed.append(snapshots is not None)
-            return snapshots
-
-        monkeypatch.setattr(replay, "run_replay", spy)
-        install_replay_manifest([entry])
-        try:
-            baseline = self._run(config)
-            # Observable proof the replay kernel drove the baseline run.
-            assert replayed == [True]
-            monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-            fused = self._run(config)
-            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-            generic = self._run(config)
-        finally:
-            clear_replay_manifest()
-        assert replayed == [True]
-        assert fused == baseline
-        assert generic == baseline
-
-    @pytest.fixture(scope="class")
-    def artifact(self, tmp_path_factory):
-        store = ReplayStore(tmp_path_factory.mktemp("selection"))
-        return store.materialise(
-            self.BENCHMARKS, golden_config(), self.QUOTA, self.WARMUP, 0
-        )
-
-    def _fused(self, config, monkeypatch, seed=0):
-        with monkeypatch.context() as m:
-            for flag in FLAGS:
-                m.delenv(flag, raising=False)
-            m.setenv("REPRO_NO_REPLAY", "1")
-            return self._run(config, seed)
-
-    @pytest.mark.parametrize("combo", COMBOS, ids=COMBO_IDS)
-    def test_each_resolution_routes_and_agrees(self, combo, artifact, monkeypatch):
-        config = golden_config()
-        fused = self._fused(config, monkeypatch)
-        for flag, on in zip(FLAGS, combo):
-            if on:
-                monkeypatch.setenv(flag, "1")
-        calls = _replay_spy(monkeypatch)
-        install_replay_manifest([artifact])
-        try:
-            result = self._run(config)
-        finally:
-            clear_replay_manifest()
-        assert result == fused
-        expect_replay = _expected(*combo) == "replay"
-        assert [ok for _, ok in calls] == ([True] if expect_replay else [])
+    def test_all_kernels_agree_end_to_end(self, artifact, monkeypatch):
+        calls = _kernel_spy(monkeypatch)
+        replayed = _run(cached_bundle(artifact))
+        assert _ran(calls) == "replay"
+        fused = _run()
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        generic = _run(cached_bundle(artifact))
+        assert fused == replayed
+        assert generic == replayed
 
     def test_sweeps_skip_private_reconstruction(self, artifact, monkeypatch):
-        calls = _replay_spy(monkeypatch)
-        install_replay_manifest([artifact])
-        try:
-            self._run(golden_config())
-        finally:
-            clear_replay_manifest()
-        assert calls == [(False, True)]
+        calls = _kernel_spy(monkeypatch)
+        _run(cached_bundle(artifact))
+        assert calls == [("replay", False, True)]
 
-    def test_unregistered_identity_runs_fused(self, artifact, monkeypatch):
-        # The registered artifact is for seed 0; a seed-1 run must not
-        # touch the replay kernel.
-        config = golden_config()
-        fused = self._fused(config, monkeypatch, seed=1)
-        calls = _replay_spy(monkeypatch)
-        install_replay_manifest([artifact])
-        try:
-            result = self._run(config, seed=1)
-        finally:
-            clear_replay_manifest()
-        assert calls == []
-        assert result == fused
-
-    def test_cleared_registry_runs_fused(self, artifact, monkeypatch):
-        config = golden_config()
-        fused = self._fused(config, monkeypatch)
-        calls = _replay_spy(monkeypatch)
-        install_replay_manifest([artifact])
-        clear_replay_manifest()
-        assert self._run(config) == fused
-        assert calls == []
+    def test_job_execute_routes_its_capture(self, artifact, monkeypatch):
+        job = WorkloadJob.for_workload(
+            Workload("sel", BENCHMARKS),
+            golden_config(),
+            "tadrrip",
+            quota=QUOTA,
+            warmup=WARMUP,
+            master_seed=0,
+        )
+        fused = job.execute().to_dict()
+        calls = _kernel_spy(monkeypatch)
+        assert job.execute(capture=artifact).to_dict() == fused
+        assert _ran(calls) == "replay"
 
     def test_damaged_artifact_runs_fused(self, tmp_path, monkeypatch):
-        config = golden_config()
-        entry = ReplayStore(tmp_path).materialise(
-            self.BENCHMARKS, config, self.QUOTA, self.WARMUP, 0
+        path = ReplayStore(tmp_path).materialise(
+            BENCHMARKS, golden_config(), QUOTA, WARMUP, 0
         )
-        with open(entry["path"], "r+b") as fh:
+        with open(path, "r+b") as fh:
             fh.seek(64)
             fh.write(b"\xff" * 64)
-        fused = self._fused(config, monkeypatch)
-        calls = _replay_spy(monkeypatch)
-        install_replay_manifest([entry])
-        try:
-            result = self._run(config)
-        finally:
-            clear_replay_manifest()
-        assert calls == []
-        assert result == fused
+        fused = _run()
+        bundle = cached_bundle(path)
+        assert bundle is None
+        calls = _kernel_spy(monkeypatch)
+        assert _run(bundle) == fused
+        assert _ran(calls) == "fast"
+        # The damaged file left the live namespace for quarantine/.
+        assert not path.exists()
