@@ -14,6 +14,10 @@ Public API tour
 >>> len(result.ipcs)
 16
 
+The names above, like every package's re-exports, are lazy: each loads
+its defining module on first use (:mod:`repro._lazy`), so ``import repro``
+costs almost nothing and a command imports only what it runs.
+
 Packages
 --------
 :mod:`repro.core`     — ADAPT: Footprint-number monitor, priority predictor,
@@ -30,18 +34,30 @@ Packages
 :mod:`repro.experiments` — one module per paper table/figure.
 """
 
-from repro.core import AdaptPolicy, FootprintSampler, InsertionPriorityPredictor, PriorityBucket
-from repro.metrics import compute_all_metrics, weighted_speedup
-from repro.policies import PAPER_POLICIES, available_policies, make_policy
-from repro.runner import ParallelRunner, PolicySpec, ResultStore
-from repro.sim import (
-    AloneCache,
-    SystemConfig,
-    build_hierarchy,
-    run_alone,
-    run_workload,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "AdaptPolicy",
+            "FootprintSampler",
+            "InsertionPriorityPredictor",
+            "PriorityBucket",
+        ),
+        "repro.metrics": ("compute_all_metrics", "weighted_speedup"),
+        "repro.policies": ("PAPER_POLICIES", "available_policies", "make_policy"),
+        "repro.runner": ("ParallelRunner", "PolicySpec", "ResultStore"),
+        "repro.sim": (
+            "AloneCache",
+            "SystemConfig",
+            "build_hierarchy",
+            "run_alone",
+            "run_workload",
+        ),
+        "repro.trace": ("BENCHMARKS", "Workload", "design_suite"),
+    },
 )
-from repro.trace import BENCHMARKS, Workload, design_suite
 
 __version__ = "1.0.0"
 

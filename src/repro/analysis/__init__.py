@@ -1,7 +1,14 @@
 """Analysis helpers: Table 5 classification, occupancy profiling."""
 
-from repro.analysis.classification import ClassifiedBenchmark, classify, is_thrashing
-from repro.analysis.occupancy import OccupancyProfile, measure_occupancy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.classification": ("ClassifiedBenchmark", "classify", "is_thrashing"),
+        "repro.analysis.occupancy": ("OccupancyProfile", "measure_occupancy"),
+    },
+)
 
 __all__ = [
     "ClassifiedBenchmark",

@@ -7,13 +7,20 @@ and the three-level :class:`~repro.cache.hierarchy.CacheHierarchy` that
 routes accesses, fills and write-backs between them.
 """
 
-from repro.cache.banks import BankedLatencyModel
-from repro.cache.cache import AccessResult, SetAssociativeCache
-from repro.cache.hierarchy import AccessOutcome, CacheHierarchy
-from repro.cache.mshr import Mshr
-from repro.cache.prefetch import StridePrefetcher
-from repro.cache.stats import CacheStats
-from repro.cache.writeback import WriteBackBuffer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cache.banks": ("BankedLatencyModel",),
+        "repro.cache.cache": ("AccessResult", "SetAssociativeCache"),
+        "repro.cache.hierarchy": ("AccessOutcome", "CacheHierarchy"),
+        "repro.cache.mshr": ("Mshr",),
+        "repro.cache.prefetch": ("StridePrefetcher",),
+        "repro.cache.stats": ("CacheStats",),
+        "repro.cache.writeback": ("WriteBackBuffer",),
+    },
+)
 
 __all__ = [
     "AccessResult",

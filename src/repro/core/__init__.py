@@ -9,17 +9,24 @@
 * :mod:`repro.core.hwcost` — the Table 2 / Section 3.3 storage accounting.
 """
 
-from repro.core.adapt import AdaptPolicy
-from repro.core.footprint import FootprintSampler, SamplerSet
-from repro.core.hwcost import (
-    CostReport,
-    adapt_cost,
-    eaf_cost,
-    ship_cost,
-    table2_reports,
-    tadrrip_cost,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.adapt": ("AdaptPolicy",),
+        "repro.core.footprint": ("FootprintSampler", "SamplerSet"),
+        "repro.core.hwcost": (
+            "CostReport",
+            "adapt_cost",
+            "eaf_cost",
+            "ship_cost",
+            "table2_reports",
+            "tadrrip_cost",
+        ),
+        "repro.core.priority": ("InsertionPriorityPredictor", "PriorityBucket"),
+    },
 )
-from repro.core.priority import InsertionPriorityPredictor, PriorityBucket
 
 __all__ = [
     "AdaptPolicy",

@@ -13,54 +13,19 @@ memory latencies it observes.  We adopt the same abstraction level:
 
 Per-core bookkeeping (instructions, cycles, completion snapshots) lives in
 :class:`CoreState`; the scheduling loop lives in
-:mod:`repro.cpu.engine`.
+:mod:`repro.cpu.engine`.  The frozen :class:`CoreSnapshot` record is
+defined with the other result records in :mod:`repro.sim.results` (so
+reading stored results never loads the core model) and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-from repro.trace.benchmarks import TraceSource
+from repro.sim.results import CoreSnapshot
 
-
-@dataclass
-class CoreSnapshot:
-    """Statistics frozen at the moment a core completes its quota."""
-
-    instructions: float
-    cycles: float
-    accesses: int
-    l1_misses: int
-    l2_misses: int
-    llc_accesses: int
-    llc_misses: int
-    llc_bypasses: int
-
-    def to_dict(self) -> dict:
-        """A JSON-safe dict; floats survive the round-trip bit-exactly."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoreSnapshot":
-        return cls(**data)
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles > 0 else 0.0
-
-    def mpki(self, misses: int | None = None) -> float:
-        """Misses per kilo-instruction; defaults to LLC demand misses."""
-        m = self.llc_misses if misses is None else misses
-        return 1000.0 * m / self.instructions if self.instructions else 0.0
-
-    @property
-    def l2_mpki(self) -> float:
-        """The Table 4 intensity metric: L2 misses per kilo-instruction."""
-        return self.mpki(self.l2_misses)
-
-    @property
-    def llc_mpki(self) -> float:
-        return self.mpki(self.llc_misses)
+if TYPE_CHECKING:
+    from repro.trace.benchmarks import TraceSource
 
 
 class CoreState:

@@ -15,32 +15,39 @@ Module                    Regenerates
 ========================  ============================================
 """
 
-from repro.experiments.ablation import (
-    AblationResult,
-    run_interval_ablation,
-    run_monitor_sets_ablation,
-    run_priority_range_ablation,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.ablation": (
+            "AblationResult",
+            "run_interval_ablation",
+            "run_monitor_sets_ablation",
+            "run_priority_range_ablation",
+        ),
+        "repro.experiments.common": (
+            "BASELINE_POLICY",
+            "FIGURE_POLICIES",
+            "ExperimentSettings",
+            "Runner",
+            "scale_factor",
+        ),
+        "repro.experiments.fig1": (
+            "Fig1Result",
+            "forced_tadrrip",
+            "forced_tadrrip_spec",
+            "run_fig1",
+        ),
+        "repro.experiments.fig6": ("Fig6Result", "run_fig6"),
+        "repro.experiments.fig7": ("Fig7Result", "run_fig7"),
+        "repro.experiments.perapp": ("PerAppResult", "run_perapp"),
+        "repro.experiments.scurves": ("ScurveResult", "run_scurve"),
+        "repro.experiments.table4": ("Table4Result", "characterise", "run_table4"),
+        "repro.experiments.table7": ("Table7Result", "run_table7"),
+        "repro.experiments.tables": ("render_table2", "render_table3", "render_table6"),
+    },
 )
-from repro.experiments.common import (
-    BASELINE_POLICY,
-    FIGURE_POLICIES,
-    ExperimentSettings,
-    Runner,
-    scale_factor,
-)
-from repro.experiments.fig1 import (
-    Fig1Result,
-    forced_tadrrip,
-    forced_tadrrip_spec,
-    run_fig1,
-)
-from repro.experiments.fig6 import Fig6Result, run_fig6
-from repro.experiments.fig7 import Fig7Result, run_fig7
-from repro.experiments.perapp import PerAppResult, run_perapp
-from repro.experiments.scurves import ScurveResult, run_scurve
-from repro.experiments.table4 import Table4Result, characterise, run_table4
-from repro.experiments.table7 import Table7Result, run_table7
-from repro.experiments.tables import render_table2, render_table3, render_table6
 
 __all__ = [
     "AblationResult",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.experiments.cli import (
     add_benchmark_set_flag,
@@ -37,8 +38,10 @@ from repro.experiments.cli import (
     add_store_flags,
     register_command,
 )
-from repro.experiments.common import ExperimentSettings, Runner
-from repro.sim.config import SystemConfig
+
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentSettings, Runner
+    from repro.sim.config import SystemConfig
 
 # -- shared construction -----------------------------------------------------------
 
@@ -51,6 +54,7 @@ def _settings_from(args) -> ExperimentSettings:
     directory (unless ``REPRO_TARGETS_DIR`` pins one), so ``tgt:`` names
     resolve in this process and in every pool worker.
     """
+    from repro.experiments.common import ExperimentSettings
     from repro.targets import activate
 
     settings = ExperimentSettings.from_env()
@@ -67,6 +71,8 @@ def _settings_from(args) -> ExperimentSettings:
 
 
 def _config_from(args) -> SystemConfig:
+    from repro.sim.config import SystemConfig
+
     return SystemConfig.scaled(getattr(args, "cores", 16))
 
 
@@ -81,6 +87,8 @@ def _retry_from(args):
 
 
 def _runner_from(args, *, inline: bool = False) -> Runner:
+    from repro.experiments.common import Runner
+
     if inline:
         return Runner(
             _config_from(args), _settings_from(args), jobs=1, results_dir=None, use_cache=False

@@ -42,7 +42,6 @@ from repro.runner import (
     policy_key,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.multi import run_workload
 from repro.sim.results import WorkloadResult
 from repro.sim.single import AloneCache
 from repro.trace.workloads import TABLE6, Workload, design_suite
@@ -228,6 +227,8 @@ class Runner:
             if isinstance(policy, ReplacementPolicy):
                 # Live policy objects are not serialisable: run in-process,
                 # bypassing the pool and the persistent store.
+                from repro.sim.multi import run_workload
+
                 result = run_workload(
                     workload,
                     config,

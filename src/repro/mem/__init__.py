@@ -8,7 +8,14 @@ implements exactly that.  :mod:`repro.mem.arbiter` provides the VPC-style
 requests from the private L2s into the shared LLC.
 """
 
-from repro.mem.arbiter import VpcArbiter
-from repro.mem.dram import DramModel
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mem.arbiter": ("VpcArbiter",),
+        "repro.mem.dram": ("DramModel",),
+    },
+)
 
 __all__ = ["DramModel", "VpcArbiter"]

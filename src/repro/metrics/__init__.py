@@ -1,19 +1,26 @@
 """Evaluation metrics: multi-core throughput (Table 7) and MPKI effects."""
 
-from repro.metrics.cachestats import (
-    average_by_app,
-    ipc_speedup,
-    mpki_reduction_percent,
-    s_curve,
-)
-from repro.metrics.throughput import (
-    METRIC_LABELS,
-    METRIC_NAMES,
-    compute_all_metrics,
-    harmonic_mean_of_normalized_ipcs,
-    mean_gain_percent,
-    relative_gain,
-    weighted_speedup,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.cachestats": (
+            "average_by_app",
+            "ipc_speedup",
+            "mpki_reduction_percent",
+            "s_curve",
+        ),
+        "repro.metrics.throughput": (
+            "METRIC_LABELS",
+            "METRIC_NAMES",
+            "compute_all_metrics",
+            "harmonic_mean_of_normalized_ipcs",
+            "mean_gain_percent",
+            "relative_gain",
+            "weighted_speedup",
+        ),
+    },
 )
 
 __all__ = [

@@ -32,18 +32,25 @@ The experiments layer (:class:`repro.experiments.common.Runner`) sits on
 top, keeping its in-process memo as the L1 cache above the store.
 """
 
-from repro.policies.spec import PolicySpec, policy_key
-from repro.runner.jobs import (
-    SCHEMA_VERSION,
-    AloneJob,
-    Job,
-    WorkloadJob,
-    job_from_dict,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.policies.spec": ("PolicySpec", "policy_key"),
+        "repro.runner.jobs": (
+            "SCHEMA_VERSION",
+            "AloneJob",
+            "Job",
+            "WorkloadJob",
+            "job_from_dict",
+        ),
+        "repro.runner.parallel": ("ParallelRunner", "default_jobs"),
+        "repro.runner.replaystore": ("ReplayStore",),
+        "repro.runner.store": ("ResultStore", "StoredResult"),
+        "repro.runner.supervisor": ("FailureRecord", "RetryPolicy"),
+    },
 )
-from repro.runner.parallel import ParallelRunner, default_jobs
-from repro.runner.replaystore import ReplayStore
-from repro.runner.store import ResultStore, StoredResult
-from repro.runner.supervisor import FailureRecord, RetryPolicy
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -38,6 +38,7 @@ under its content-addressed keys.
 
 from __future__ import annotations
 
+import importlib
 import os
 import tempfile
 from collections.abc import Sequence
@@ -48,6 +49,13 @@ from repro.runner.jobs import SCHEMA_VERSION, Job, job_from_dict
 from repro.runner.replaystore import ReplayStore, replay_key
 from repro.runner.store import ResultStore
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
+
+
+#: What executing a job imports: the run functions and, through them, every
+#: kernel.  The parent loads it before a batch with misses runs, so the
+#: pool workers forked for each batch inherit it instead of each
+#: importing it again; a batch served wholly from the store never loads it.
+_EXECUTION_STACK = ("repro.sim.multi", "repro.sim.single", "repro.core.monitor")
 
 
 def default_jobs() -> int:
@@ -214,6 +222,9 @@ class ParallelRunner:
             else:
                 misses.append((key, job))
         self.last_failures = []
+        if misses:
+            for module in _EXECUTION_STACK:
+                importlib.import_module(module)
 
         # One supervisor (and pool) serves captures and sims alike.
         supervisor = Supervisor(
@@ -280,11 +291,13 @@ class ParallelRunner:
         swept, or when the store root is unavailable — every one of which
         runs the batch without replay.
         """
+        if len(misses) < 2:
+            return [], {}
         from repro.cpu.capture import REPLAY_SLACK
         from repro.cpu.fastpath import fastpath_enabled
         from repro.sim.build import capture_identity
 
-        if len(misses) < 2 or not fastpath_enabled():
+        if not fastpath_enabled():
             return [], {}
         sweeps: dict[tuple, list[tuple[str, Job]]] = {}
         for key, job in misses:

@@ -38,18 +38,23 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cpu.capture import CAPTURE_FORMAT, EVENT_DTYPE, CaptureBundle, CoreTape
 from repro.runner import faults
 from repro.runner.integrity import quarantine, verify_artifact, write_checksum
+
+if TYPE_CHECKING:
+    from repro.cpu.capture import CaptureBundle
 
 _KEY_LEN = 40
 
 
 def replay_key(identity: tuple, slack: float) -> str:
     """Content address of one capture artifact."""
+    from repro.cpu.capture import CAPTURE_FORMAT
+
     blob = json.dumps(
         {"v": CAPTURE_FORMAT, "identity": list(identity), "slack": slack},
         sort_keys=True,
@@ -118,6 +123,8 @@ def identity_from_meta(meta: dict) -> tuple:
 
 def load_meta(path: Path | str) -> dict | None:
     """Just an artifact's meta block (no tapes); ``None`` on any damage."""
+    from repro.cpu.capture import CAPTURE_FORMAT
+
     try:
         with np.load(path, allow_pickle=False) as npz:
             blob = json.loads(bytes(npz["meta_json"]).decode())
@@ -133,6 +140,8 @@ def load_meta(path: Path | str) -> dict | None:
 
 def load_bundle(path: Path | str) -> CaptureBundle | None:
     """Load an artifact back into a live bundle; ``None`` on any damage."""
+    from repro.cpu.capture import CAPTURE_FORMAT, EVENT_DTYPE, CaptureBundle, CoreTape
+
     try:
         with np.load(path, allow_pickle=False) as npz:
             blob = json.loads(bytes(npz["meta_json"]).decode())

@@ -44,11 +44,14 @@ import os
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.runner import faults
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Poll interval while waiting for queued futures to start running (their
 #: wall-clock deadline starts at first observed execution, not at submit).
@@ -180,6 +183,10 @@ class Supervisor:
         if self._degraded:
             return None
         if self._pool is None:
+            # Imported here: multiprocessing costs every command that never
+            # forks (a warm store, an inline run) its import time.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
@@ -285,7 +292,7 @@ class Supervisor:
                 key, job, attempt = queue.popleft()
                 try:
                     future = pool.submit(worker_fn, task_for(key, job, attempt))
-                except BrokenProcessPool:
+                except BrokenExecutor:  # BrokenProcessPool: a worker died
                     queue.appendleft((key, job, attempt))
                     broken = True
                     break
@@ -306,7 +313,7 @@ class Supervisor:
                     yield key, job, decode(job, future.result())
                     release(key)
                     continue
-                if isinstance(exc, BrokenProcessPool):
+                if isinstance(exc, BrokenExecutor):
                     broken = True
                     queue.append((key, job, attempt + 1))
                     continue

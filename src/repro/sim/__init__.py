@@ -1,10 +1,22 @@
 """Simulation drivers: configurations, platform factory, and runners."""
 
-from repro.sim.build import build_hierarchy, build_sources, geometry_of, resolve_policy
-from repro.sim.config import CacheLevelConfig, SystemConfig
-from repro.sim.multi import run_workload
-from repro.sim.results import SingleRunResult, WorkloadResult
-from repro.sim.single import AloneCache, run_alone
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.build": (
+            "build_hierarchy",
+            "build_sources",
+            "geometry_of",
+            "resolve_policy",
+        ),
+        "repro.sim.config": ("CacheLevelConfig", "SystemConfig"),
+        "repro.sim.multi": ("run_workload",),
+        "repro.sim.results": ("SingleRunResult", "WorkloadResult"),
+        "repro.sim.single": ("AloneCache", "run_alone"),
+    },
+)
 
 __all__ = [
     "CacheLevelConfig",

@@ -1,6 +1,8 @@
 """Result records produced by the simulation drivers.
 
-Both record types serialise losslessly through ``to_dict``/``from_dict``:
+:class:`CoreSnapshot` is one core's statistics at quota completion;
+:class:`SingleRunResult` and :class:`WorkloadResult` wrap one or more of
+them.  All three serialise losslessly through ``to_dict``/``from_dict``:
 that is what lets :mod:`repro.runner` ship results across process
 boundaries and persist them as JSON in the on-disk result store.  Floats
 survive the JSON round-trip bit-exactly (Python serialises the shortest
@@ -10,9 +12,47 @@ to the freshly simulated one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.cpu.core import CoreSnapshot
+
+@dataclass
+class CoreSnapshot:
+    """Statistics frozen at the moment a core completes its quota."""
+
+    instructions: float
+    cycles: float
+    accesses: int
+    l1_misses: int
+    l2_misses: int
+    llc_accesses: int
+    llc_misses: int
+    llc_bypasses: int
+
+    def to_dict(self) -> dict:
+        """A JSON-safe dict; floats survive the round-trip bit-exactly."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CoreSnapshot":
+        return cls(**data)
+
+    @property
+    def ipc(self) -> float:
+        return self.instructions / self.cycles if self.cycles > 0 else 0.0
+
+    def mpki(self, misses: int | None = None) -> float:
+        """Misses per kilo-instruction; defaults to LLC demand misses."""
+        m = self.llc_misses if misses is None else misses
+        return 1000.0 * m / self.instructions if self.instructions else 0.0
+
+    @property
+    def l2_mpki(self) -> float:
+        """The Table 4 intensity metric: L2 misses per kilo-instruction."""
+        return self.mpki(self.l2_misses)
+
+    @property
+    def llc_mpki(self) -> float:
+        return self.mpki(self.llc_misses)
 
 
 @dataclass

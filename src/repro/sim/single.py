@@ -12,12 +12,9 @@ policy.
 
 from __future__ import annotations
 
-from repro.core.monitor import MonitoredPolicy
-from repro.cpu.engine import MulticoreEngine
-from repro.sim.build import build_hierarchy, geometry_of, resolve_policy
 from repro.sim.config import SystemConfig
 from repro.sim.results import SingleRunResult
-from repro.trace.benchmarks import BENCHMARKS, make_source
+from repro.trace.benchmarks import BENCHMARKS
 
 
 def run_alone(
@@ -32,6 +29,13 @@ def run_alone(
     monitor_all_sets: bool = False,
 ) -> SingleRunResult:
     """Run *benchmark* alone; optionally attach passive footprint monitors."""
+    # The platform and kernels load here, not at module import: an
+    # :class:`AloneCache` served wholly from the result store needs none.
+    from repro.core.monitor import MonitoredPolicy
+    from repro.cpu.engine import MulticoreEngine
+    from repro.sim.build import build_hierarchy, geometry_of, resolve_policy
+    from repro.trace.benchmarks import make_source
+
     spec = BENCHMARKS.get(benchmark)
     if spec is None and benchmark.startswith("tgt:"):
         # Ingested targets resolve through the active registry (raises

@@ -10,31 +10,38 @@ per-core :class:`~repro.trace.benchmarks.TraceSource` generator.
 by the end-to-end benchmark's tracer.
 """
 
-from repro.trace.benchmarks import (
-    BENCHMARKS,
-    CLASSES,
-    THRASHING_BENCHMARKS,
-    BenchmarkSpec,
-    Geometry,
-    TraceSource,
-    benchmarks_by_class,
-)
-from repro.trace.patterns import (
-    PATTERN_KINDS,
-    AccessPattern,
-    CyclicPattern,
-    MixedPattern,
-    RandomPattern,
-    ShuffledCyclicPattern,
-    StridedPattern,
-    make_pattern,
-)
-from repro.trace.workloads import (
-    TABLE6,
-    SuiteSpec,
-    Workload,
-    design_suite,
-    validate_workload,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.benchmarks": (
+            "BENCHMARKS",
+            "CLASSES",
+            "THRASHING_BENCHMARKS",
+            "BenchmarkSpec",
+            "Geometry",
+            "TraceSource",
+            "benchmarks_by_class",
+        ),
+        "repro.trace.patterns": (
+            "PATTERN_KINDS",
+            "AccessPattern",
+            "CyclicPattern",
+            "MixedPattern",
+            "RandomPattern",
+            "ShuffledCyclicPattern",
+            "StridedPattern",
+            "make_pattern",
+        ),
+        "repro.trace.workloads": (
+            "TABLE6",
+            "SuiteSpec",
+            "Workload",
+            "design_suite",
+            "validate_workload",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,21 +7,28 @@ and deterministic "1 out of N" tickers (:mod:`repro.util.counters`) and
 small statistics helpers (:mod:`repro.util.stats`).
 """
 
-from repro.util.bitops import (
-    block_align,
-    ilog2,
-    is_pow2,
-    split_address,
-    xor_fold,
-    xor_bank_index,
-)
-from repro.util.counters import SaturatingCounter, FractionTicker, PselCounter
-from repro.util.rng import RngStreams, derive_seed
-from repro.util.stats import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    normalize_series,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.bitops": (
+            "block_align",
+            "ilog2",
+            "is_pow2",
+            "split_address",
+            "xor_fold",
+            "xor_bank_index",
+        ),
+        "repro.util.counters": ("SaturatingCounter", "FractionTicker", "PselCounter"),
+        "repro.util.rng": ("RngStreams", "derive_seed"),
+        "repro.util.stats": (
+            "arithmetic_mean",
+            "geometric_mean",
+            "harmonic_mean",
+            "normalize_series",
+        ),
+    },
 )
 
 __all__ = [

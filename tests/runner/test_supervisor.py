@@ -120,16 +120,17 @@ class TestPoolScheduling:
         assert supervisor.stats["pool_rebuilds"] == 2  # 1 tolerated + the last straw
 
     def test_one_pool_per_batch(self, monkeypatch):
-        from repro.runner import supervisor as supervisor_mod
+        import concurrent.futures
 
         created = []
 
-        class CountingPool(supervisor_mod.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 created.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", CountingPool)
+        # The supervisor imports the executor when it creates a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         supervisor = Supervisor(workers=2, policy=FAST)
         assert _run(supervisor, MISSES, _echo) == EXPECTED
         assert created == [2]
