@@ -34,6 +34,8 @@ statement, which the golden differential suite machine-checks.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.cache.prefetch import StrideEntry
@@ -75,8 +77,21 @@ REPLAY_SLACK = 0.25
 _TARGET_CHECKPOINTS = 24
 
 
+def _checkpoint_interval(length: int) -> int:
+    """Accesses between private-state checkpoints on a *length*-access stream."""
+    return max(TraceSource.CHUNK, -(-length // _TARGET_CHECKPOINTS))
+
+
 class CoreTape:
-    """One core's captured stream: steps, events, checkpoints, markers."""
+    """One core's captured stream: steps, events, checkpoints, markers.
+
+    The streams live in fixed-width containers from capture to replay:
+    ``steps`` is a ``bytearray`` of step codes, and the event columns are
+    ``ev_step`` (``array("Q")``), ``ev_kind`` (``bytearray``), ``ev_addr``
+    and ``ev_pc`` (``array("q")``), 25 bytes per event.  All of them grow
+    in place on live extension, so no buffer view of them may outlive the
+    statement that takes it.
+    """
 
     __slots__ = (
         "steps",
@@ -93,10 +108,10 @@ class CoreTape:
 
     def __init__(self) -> None:
         self.steps = bytearray()
-        self.ev_step: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_addr: list[int] = []
-        self.ev_pc: list[int] = []
+        self.ev_step = array("Q")
+        self.ev_kind = bytearray()
+        self.ev_addr = array("q")
+        self.ev_pc = array("q")
         self.checkpoints: list[dict] = []
         self.baseline: dict | None = None
         self.finish: dict | None = None
@@ -106,12 +121,29 @@ class CoreTape:
         self.live_sim: PrivateCoreSim | None = None
 
     def events_array(self) -> np.ndarray:
+        """The event columns as ``EVENT_DTYPE`` records."""
         out = np.empty(len(self.ev_step), dtype=EVENT_DTYPE)
-        out["step"] = self.ev_step
-        out["kind"] = self.ev_kind
-        out["addr"] = self.ev_addr
-        out["pc"] = self.ev_pc
+        out["step"] = np.frombuffer(self.ev_step, dtype=np.uint64)
+        out["kind"] = np.frombuffer(self.ev_kind, dtype=np.uint8)
+        out["addr"] = np.frombuffer(self.ev_addr, dtype=np.int64)
+        out["pc"] = np.frombuffer(self.ev_pc, dtype=np.int64)
         return out
+
+    def set_events(self, events: np.ndarray) -> None:
+        """Fill the event columns from ``EVENT_DTYPE`` records.
+
+        Each column is converted once, straight into its container; the
+        explicit dtypes make numpy handle the records' byte order.
+        """
+        n = len(events)
+        self.ev_step = array("Q", [0]) * n
+        self.ev_kind = bytearray(n)
+        self.ev_addr = array("q", [0]) * n
+        self.ev_pc = array("q", [0]) * n
+        np.frombuffer(self.ev_step, dtype=np.uint64)[:] = events["step"]
+        np.frombuffer(self.ev_kind, dtype=np.uint8)[:] = events["kind"]
+        np.frombuffer(self.ev_addr, dtype=np.int64)[:] = events["addr"]
+        np.frombuffer(self.ev_pc, dtype=np.int64)[:] = events["pc"]
 
     def steps_array(self) -> np.ndarray:
         return np.frombuffer(bytes(self.steps), dtype=np.uint8)
@@ -657,7 +689,7 @@ def capture_workload(
     """
     finish = quota + warmup
     n_cap = finish + int(round(slack * finish))
-    interval = max(TraceSource.CHUNK, -(-n_cap // _TARGET_CHECKPOINTS))
+    interval = _checkpoint_interval(n_cap)
     meta = {
         "format": CAPTURE_FORMAT,
         "benchmarks": list(benchmarks),
@@ -759,7 +791,6 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     # from the persistent live_sim, and the replay finaliser only needs a
     # checkpoint within one interval of the final cut — appending one per
     # extension chunk would bloat long overruns for no benefit.
-    meta = bundle.meta
-    interval = max(TraceSource.CHUNK, -(-meta["length"] // _TARGET_CHECKPOINTS))
+    interval = _checkpoint_interval(bundle.meta["length"])
     if sim.count - tape.checkpoints[-1]["index"] >= interval:
         tape.checkpoints.append(sim.snapshot_state())

@@ -709,11 +709,16 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         # -- the clock + event cursor ----------------------------------------
 
         # idx: next step to walk; t: issue time of access ``idx``; p: next
-        # event-stream entry.  The clock walk reproduces the fused kernel's
-        # per-access float recurrence op for op.
+        # event-stream entry; e_cur: its access index, or -1 once p has run
+        # off the n_ev captured events.  The clock walk reproduces the fused
+        # kernel's per-access float recurrence op for op.  Each event field
+        # is read exactly once: the read that ends a group becomes e_cur.
         idx = 0
         t_clock = 0.0
         p = 0
+        n_ev = len(ev_step)
+        e_cur = ev_step[0] if n_ev else -1
+        chunk = meta["chunk"]
 
         def seek_event():
             """Walk the clock to the next event-bearing access.
@@ -726,10 +731,14 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             and a core gone LLC-silent can never stall the other cores'
             run to completion (each wake-up makes one chunk of progress).
             """
-            nonlocal idx, t_clock
-            if p >= len(ev_step):
-                cap.extend_tape(bundle, cid, meta["chunk"])
-            e = ev_step[p] if p < len(ev_step) else len(steps)
+            nonlocal idx, t_clock, e_cur, n_ev
+            e = e_cur
+            if e < 0:
+                cap.extend_tape(bundle, cid, chunk)
+                n_ev = len(ev_step)
+                e = e_cur = ev_step[p] if p < n_ev else -1
+                if e < 0:
+                    e = len(steps)
             i = idx
             t = t_clock
             while i < e:
@@ -752,26 +761,26 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             """Process the pending event group; returns the next event time
             (or ``None`` once the whole run has completed)."""
             nonlocal miss_clock, intervals_completed, interval, remaining
-            nonlocal idx, t_clock, p
-            if p >= len(ev_step):
+            nonlocal idx, t_clock, p, e_cur
+            e = e_cur
+            if e < 0:
                 # Provisional wake-up: no event generated yet — extend by
                 # another chunk and reschedule.
                 return seek_event()
-            e = ev_step[p]
             code = steps[e]
             saw_baseline = False
             saw_snapshot = False
-            n_ev = len(ev_step)
+            k = ev_kind[p]
             p1 = p + 1
-            if ev_kind[p] == ev_demand and (p1 == n_ev or ev_step[p1] != e):
+            nxt = ev_step[p1] if p1 < n_ev else -1
+            if k == ev_demand and nxt != e:
                 # Overwhelmingly common group shape: one demand fetch.
                 done, demand_missed = demand_llc(ev_addr[p], ev_pc[p], t)
                 p = p1
             else:
                 done = 0.0
                 demand_missed = False
-                while p < n_ev and ev_step[p] == e:
-                    k = ev_kind[p]
+                while True:
                     if k == ev_demand:
                         done, demand_missed = demand_llc(ev_addr[p], ev_pc[p], t)
                     elif k == ev_wb0:
@@ -784,7 +793,13 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
                         saw_baseline = True
                     else:
                         saw_snapshot = True
-                    p += 1
+                    p = p1
+                    if nxt != e:
+                        break
+                    k = ev_kind[p]
+                    p1 = p + 1
+                    nxt = ev_step[p1] if p1 < n_ev else -1
+            e_cur = nxt
 
             if code == step_llc:
                 latency = done - t

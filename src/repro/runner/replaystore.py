@@ -154,11 +154,8 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
                 if events.dtype != EVENT_DTYPE:
                     return None
                 tape = CoreTape()
-                tape.steps = bytearray(npz[f"steps_{i}"].tobytes())
-                tape.ev_step = events["step"].tolist()
-                tape.ev_kind = events["kind"].tolist()
-                tape.ev_addr = events["addr"].tolist()
-                tape.ev_pc = events["pc"].tolist()
+                tape.steps = bytearray(npz[f"steps_{i}"])
+                tape.set_events(events)
                 tape.checkpoints = rec["checkpoints"]
                 tape.baseline = rec["baseline"]
                 tape.finish = rec["finish"]
@@ -211,8 +208,8 @@ class ReplayStore:
 
 #: Path -> loaded bundle (LRU), so a sweep's jobs reuse one load (and share
 #: any live tape extensions within the process).  Bounded: a loaded bundle
-#: expands its arrays into Python lists, so an unbounded cache would grow
-#: a long-lived worker by one platform per sweep.
+#: holds its tapes (~25 B per event) and decoded JSON checkpoints, so an
+#: unbounded cache would grow a long-lived worker by one platform per sweep.
 _BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
 _BUNDLE_CACHE_LIMIT = 4
 

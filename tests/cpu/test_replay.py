@@ -4,6 +4,8 @@ and the runner's capture-job scheduling."""
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,19 @@ class TestRunnerIntegration:
         assert not list((tmp_path / "results" / "traces").glob("replay-*.npz"))
 
 
+def _assert_compact(tape):
+    """The tape holds its streams in fixed-width containers, not lists."""
+    assert type(tape.steps) is bytearray
+    assert type(tape.ev_kind) is bytearray
+    for column, typecode in (
+        (tape.ev_step, "Q"),
+        (tape.ev_addr, "q"),
+        (tape.ev_pc, "q"),
+    ):
+        assert type(column) is array
+        assert column.typecode == typecode and column.itemsize == 8
+
+
 class TestTapeArrays:
     def test_arrays_round_trip_native_types(self):
         tape = CoreTape()
@@ -360,3 +375,67 @@ class TestTapeArrays:
         steps = tape.steps_array()
         assert steps.dtype == np.uint8
         assert steps.tolist() == [0, 1, 2]
+
+    def test_set_events_converts_byte_order(self):
+        records = np.array(
+            [(5, 3, -9, 1 << 40), (6, 1, 1 << 50, 0)],
+            dtype=cap.EVENT_DTYPE.newbyteorder(">"),
+        )
+        tape = CoreTape()
+        tape.set_events(records)
+        _assert_compact(tape)
+        assert list(tape.ev_step) == [5, 6]
+        assert list(tape.ev_kind) == [3, 1]
+        assert list(tape.ev_addr) == [-9, 1 << 50]
+        assert list(tape.ev_pc) == [1 << 40, 0]
+        assert tape.events_array().tobytes() == records.astype(cap.EVENT_DTYPE).tobytes()
+
+    def test_capture_and_load_hold_compact_columns(self, bundle, tmp_path):
+        for tape in bundle.tapes:
+            _assert_compact(tape)
+        path = tmp_path / "replay-x.npz"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        for a, b in zip(loaded.tapes, bundle.tapes):
+            _assert_compact(a)
+            assert a.ev_step == b.ev_step and a.ev_kind == b.ev_kind
+            assert a.ev_addr == b.ev_addr and a.ev_pc == b.ev_pc
+
+    def test_save_load_save_is_byte_identical(self, bundle, tmp_path):
+        first, second = tmp_path / "replay-a.npz", tmp_path / "replay-b.npz"
+        save_bundle(bundle, first)
+        loaded = load_bundle(first)
+        for tape in loaded.tapes:
+            _assert_compact(tape)
+        save_bundle(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_extending_a_loaded_bundle_appends_in_place(self, tmp_path):
+        path = tmp_path / "replay-lean.npz"
+        save_bundle(
+            capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0),
+            path,
+        )
+        loaded = load_bundle(path)
+
+        def columns(tape):
+            return (tape.steps, tape.ev_step, tape.ev_kind, tape.ev_addr, tape.ev_pc)
+
+        held = [columns(tape) for tape in loaded.tapes]
+        before = [len(tape.ev_step) for tape in loaded.tapes]
+        chunk = loaded.meta["chunk"]
+        for core_id in range(len(loaded.tapes)):
+            cap.extend_tape(loaded, core_id, chunk)
+        for tape, old in zip(loaded.tapes, held):
+            _assert_compact(tape)
+            assert all(a is b for a, b in zip(columns(tape), old))
+            assert len(tape.steps) == tape.length == loaded.meta["length"] + chunk
+        assert sum(len(t.ev_step) for t in loaded.tapes) > sum(before)
+        # The appended events are exactly what a longer capture records.
+        slack = -(-chunk // (QUOTA + WARMUP))
+        longer = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack)
+        for tape, ref in zip(loaded.tapes, longer.tapes):
+            n = len(tape.ev_step)
+            assert tape.events_array().tobytes() == ref.events_array()[:n].tobytes()
+            assert n == len(ref.ev_step) or ref.ev_step[n] >= tape.length
+        assert run_replay(_engine("ship"), loaded) == _engine("ship").run()
