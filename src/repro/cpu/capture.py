@@ -22,11 +22,14 @@ config)`` and records, per core:
   prefetch fetches, the demand fetch itself) plus the engine's
   warm-up-baseline and quota-completion markers, which must be replayed in
   global ``(time, core)`` order because they read live LLC statistics;
-* **private-state checkpoints** — JSON-safe snapshots of the L1/L2
-  contents, replacement state, stats, and prefetcher tables every
-  ``checkpoint_every`` accesses (and always at the stream end), from which
-  the replay finaliser reconstructs the exact private-level end state at
-  the run's policy-dependent stop point with a bounded re-simulation.
+* **private-state checkpoints** — snapshots of the L1/L2 contents,
+  replacement state, stats, and prefetcher tables every
+  ``checkpoint_every`` accesses (and always at the stream end), kept as
+  encoded JSON bytes from the moment they are taken.  Only the one being
+  restored is ever decoded: the replay finaliser reconstructs the exact
+  private-level end state at the run's policy-dependent stop point from
+  the nearest one with a bounded re-simulation, and live extension
+  resumes from the tape-end one.
 
 Every content operation mirrors :mod:`repro.cpu.fastpath` statement for
 statement, which the golden differential suite machine-checks.
@@ -34,6 +37,7 @@ statement, which the golden differential suite machine-checks.
 
 from __future__ import annotations
 
+import json
 from array import array
 
 import numpy as np
@@ -59,7 +63,7 @@ EV_WB0, EV_WB1, EV_ND, EV_DEMAND, EV_BASELINE, EV_SNAPSHOT = 0, 1, 2, 3, 4, 5
 EVENT_DTYPE = np.dtype([("step", "<u8"), ("kind", "u1"), ("addr", "<i8"), ("pc", "<i8")])
 
 #: Capture artifact layout version (part of every content address).
-CAPTURE_FORMAT = 1
+CAPTURE_FORMAT = 2
 
 #: Captured-stream over-provisioning beyond the quota-completion index.
 #: Cores that finish early keep running until the slowest core completes,
@@ -91,6 +95,11 @@ class CoreTape:
     and ``ev_pc`` (``array("q")``), 25 bytes per event.  All of them grow
     in place on live extension, so no buffer view of them may outlive the
     statement that takes it.
+
+    ``checkpoints`` holds each private-state snapshot as its encoded JSON
+    ``bytes`` and ``checkpoint_index`` (``array("Q")``) the access index
+    it was taken at, in increasing order.  Append through
+    :meth:`add_checkpoint`; :meth:`checkpoint` decodes one.
     """
 
     __slots__ = (
@@ -100,6 +109,7 @@ class CoreTape:
         "ev_addr",
         "ev_pc",
         "checkpoints",
+        "checkpoint_index",
         "baseline",
         "finish",
         "length",
@@ -112,13 +122,23 @@ class CoreTape:
         self.ev_kind = bytearray()
         self.ev_addr = array("q")
         self.ev_pc = array("q")
-        self.checkpoints: list[dict] = []
+        self.checkpoints: list[bytes] = []
+        self.checkpoint_index = array("Q")
         self.baseline: dict | None = None
         self.finish: dict | None = None
         self.length = 0
         #: Scratch continuation simulator, attached lazily by the replay
         #: kernel when a run outlives the captured stream.
         self.live_sim: PrivateCoreSim | None = None
+
+    def add_checkpoint(self, state: dict) -> None:
+        """Encode and append a :meth:`PrivateCoreSim.snapshot_state`."""
+        self.checkpoints.append(json.dumps(state, separators=(",", ":")).encode())
+        self.checkpoint_index.append(state["index"])
+
+    def checkpoint(self, i: int) -> dict:
+        """Decode checkpoint *i* (a fresh object on every call)."""
+        return json.loads(self.checkpoints[i])
 
     def events_array(self) -> np.ndarray:
         """The event columns as ``EVENT_DTYPE`` records."""
@@ -726,7 +746,7 @@ def capture_workload(
         boundaries.update(range(interval, n_cap, interval))
         # Index-0 checkpoint: reconstruction of a cut before the first
         # interval starts from the pristine state.
-        tape.checkpoints.append(sim.snapshot_state())
+        tape.add_checkpoint(sim.snapshot_state())
         done = 0
         for boundary in sorted(boundaries):
             sim.run(boundary - done)
@@ -752,7 +772,7 @@ def capture_workload(
                 tape.ev_addr.append(0)
                 tape.ev_pc.append(0)
             if boundary % interval == 0 or boundary == n_cap:
-                tape.checkpoints.append(sim.snapshot_state())
+                tape.add_checkpoint(sim.snapshot_state())
         tapes.append(tape)
 
     return CaptureBundle(meta, tapes)
@@ -782,9 +802,8 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
         sim = PrivateCoreSim(
             l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape
         )
-        end_state = tape.checkpoints[-1]
-        sim.restore_state(end_state)
-        advance_source(source, end_state["index"])
+        sim.restore_state(tape.checkpoint(-1))
+        advance_source(source, tape.checkpoint_index[-1])
         tape.live_sim = sim
     sim.run(n)
     # Keep the capture pass's checkpoint density: further extension resumes
@@ -792,5 +811,5 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     # checkpoint within one interval of the final cut — appending one per
     # extension chunk would bloat long overruns for no benefit.
     interval = _checkpoint_interval(bundle.meta["length"])
-    if sim.count - tape.checkpoints[-1]["index"] >= interval:
-        tape.checkpoints.append(sim.snapshot_state())
+    if sim.count - tape.checkpoint_index[-1] >= interval:
+        tape.add_checkpoint(sim.snapshot_state())

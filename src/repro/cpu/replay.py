@@ -38,6 +38,7 @@ indistinguishable from a fused-kernel run.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappop, heappush
 
 from repro.cpu import capture as cap
@@ -953,12 +954,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         for cid in range(n):
             n_i = finish_count if cid == cid_f else cut_walks[cid](t_f, cid_f)
             tape = tapes[cid]
-            ck = None
-            for candidate in tape.checkpoints:
-                if candidate["index"] <= n_i:
-                    ck = candidate
-                else:
-                    break
+            ck = tape.checkpoint(bisect_right(tape.checkpoint_index, n_i) - 1)
             source = engine.sources[cid]
             pf = h.l2_prefetchers[cid] if h.l2_prefetchers is not None else None
             sim = cap.PrivateCoreSim(

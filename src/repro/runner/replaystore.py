@@ -6,11 +6,15 @@ to the ingested ``target-<key>.npy`` buffers of :mod:`repro.targets`.
 Each artifact holds the private-level streams a whole policy sweep
 replays through the LLC-filtered kernel (:mod:`repro.cpu.replay`).
 
-Artifacts are structured-NumPy end to end — per-core ``uint8`` step
-streams and structured event records plus one JSON meta blob (bundle
-identity, checkpoints, baseline/finish stat records) — written atomically
-and addressed by a SHA-256 over the capture identity, so a stale or
-foreign file is simply never loaded.
+Artifacts are structured-NumPy end to end — per core a ``uint8`` step
+stream, structured event records, and the private-state checkpoints as
+one ``uint8`` member of concatenated encoded-JSON blobs with a table of
+their access indices and end offsets; plus one JSON meta blob (bundle
+identity, baseline/finish stat records).  Loading slices the checkpoint
+blobs back into ``bytes`` without decoding any: the replay kernel decodes
+only the one it restores.  Files are written atomically and addressed by
+a SHA-256 over the capture identity and ``CAPTURE_FORMAT``, so a stale,
+foreign or superseded file is simply never loaded.
 
 The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 
@@ -36,6 +40,7 @@ import hashlib
 import json
 import os
 import tempfile
+from array import array
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -49,6 +54,10 @@ if TYPE_CHECKING:
     from repro.cpu.capture import CaptureBundle
 
 _KEY_LEN = 40
+
+#: One row per checkpoint: its access index and the end offset of its
+#: blob in the tape's concatenated ``checkpoints_{i}`` member.
+CHECKPOINT_DTYPE = np.dtype([("index", "<u8"), ("end", "<u8")])
 
 
 def replay_key(identity: tuple, slack: float) -> str:
@@ -69,7 +78,6 @@ def save_bundle(bundle: CaptureBundle, path: Path) -> None:
         "meta": bundle.meta,
         "tapes": [
             {
-                "checkpoints": tape.checkpoints,
                 "baseline": tape.baseline,
                 "finish": tape.finish,
                 "length": tape.length,
@@ -83,6 +91,13 @@ def save_bundle(bundle: CaptureBundle, path: Path) -> None:
     for i, tape in enumerate(bundle.tapes):
         arrays[f"steps_{i}"] = tape.steps_array()
         arrays[f"events_{i}"] = tape.events_array()
+        table = np.empty(len(tape.checkpoints), dtype=CHECKPOINT_DTYPE)
+        table["index"] = tape.checkpoint_index
+        table["end"] = np.cumsum([len(c) for c in tape.checkpoints], dtype=np.uint64)
+        arrays[f"checkpoint_table_{i}"] = table
+        arrays[f"checkpoints_{i}"] = np.frombuffer(
+            b"".join(tape.checkpoints), dtype=np.uint8
+        )
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -122,9 +137,12 @@ def identity_from_meta(meta: dict) -> tuple:
 
 
 def load_meta(path: Path | str) -> dict | None:
-    """Just an artifact's meta block (no tapes); ``None`` on any damage."""
-    from repro.cpu.capture import CAPTURE_FORMAT
+    """Just an artifact's meta block (no tapes); ``None`` on any damage.
 
+    Any ``CAPTURE_FORMAT`` is returned as written: callers that go on to
+    use the artifact compare ``meta["format"]`` themselves, and the gc
+    pass must tell a superseded format (garbage) from damage.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             blob = json.loads(bytes(npz["meta_json"]).decode())
@@ -133,7 +151,7 @@ def load_meta(path: Path | str) -> dict | None:
         # "Any damage" includes mid-file corruption, which surfaces as
         # BadZipFile/UnicodeDecodeError/... depending on which bytes hit.
         return None
-    if meta.get("format") != CAPTURE_FORMAT:
+    if not isinstance(meta, dict):
         return None
     return meta
 
@@ -153,10 +171,19 @@ def load_bundle(path: Path | str) -> CaptureBundle | None:
                 events = npz[f"events_{i}"]
                 if events.dtype != EVENT_DTYPE:
                     return None
+                table = npz[f"checkpoint_table_{i}"]
+                if table.dtype != CHECKPOINT_DTYPE:
+                    return None
+                blobs = npz[f"checkpoints_{i}"]
                 tape = CoreTape()
                 tape.steps = bytearray(npz[f"steps_{i}"])
                 tape.set_events(events)
-                tape.checkpoints = rec["checkpoints"]
+                ends = table["end"].tolist()
+                tape.checkpoints = [
+                    blobs[start:end].tobytes()
+                    for start, end in zip([0] + ends, ends)
+                ]
+                tape.checkpoint_index = array("Q", table["index"].tolist())
                 tape.baseline = rec["baseline"]
                 tape.finish = rec["finish"]
                 tape.length = rec["length"]
@@ -208,8 +235,9 @@ class ReplayStore:
 
 #: Path -> loaded bundle (LRU), so a sweep's jobs reuse one load (and share
 #: any live tape extensions within the process).  Bounded: a loaded bundle
-#: holds its tapes (~25 B per event) and decoded JSON checkpoints, so an
-#: unbounded cache would grow a long-lived worker by one platform per sweep.
+#: holds about its artifact's size in memory (~25 B per event plus the
+#: still-encoded checkpoints), so an unbounded cache would grow a
+#: long-lived worker by one platform per sweep.
 _BUNDLES: "OrderedDict[str, CaptureBundle | None]" = OrderedDict()
 _BUNDLE_CACHE_LIMIT = 4
 

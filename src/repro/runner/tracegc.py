@@ -9,9 +9,12 @@ pruned them, so heavily-used stores grew without bound.
 :meth:`~repro.runner.store.ResultStore.records` API — this module knows
 nothing about the on-disk JSON layout), collects the capture identity
 each workload job would replay, and removes every artifact no stored
-result references.  Ingested ``target-*.npy`` buffers are pinned by the
-``targets.json`` registry instead; any other ``.npy`` — such as the
-synthetic trace buffers older builds wrote — is garbage.
+result references.  A capture written in a superseded
+``CAPTURE_FORMAT`` is garbage too, even when a stored result references
+its identity: its content address can never be looked up again.
+Ingested ``target-*.npy`` buffers are pinned by the ``targets.json``
+registry instead; any other ``.npy`` — such as the synthetic trace
+buffers older builds wrote — is garbage.
 
 The pass also *audits* the buffers it keeps: a referenced artifact whose
 checksum sidecar no longer matches — or whose npz structure no longer
@@ -156,13 +159,18 @@ def provenance_line(path: Path) -> str:
         if path.name.startswith("replay-") and path.suffix == ".npz":
             from repro.runner.replaystore import load_meta
 
+            from repro.cpu.capture import CAPTURE_FORMAT
+
             inner = load_meta(path)
             if inner is not None:
                 benchmarks = ",".join(inner.get("benchmarks", []))
-                return (
+                line = (
                     f"replay capture [{benchmarks}] "
                     f"seed={inner.get('master_seed', '?')}"
                 )
+                if inner.get("format") != CAPTURE_FORMAT:
+                    line += f" format={inner.get('format')} (superseded)"
+                return line
         return "(no provenance recorded)"
     if meta.get("kind") == "target":
         return (
@@ -185,6 +193,7 @@ def collect_garbage(
     ``traces/quarantine/`` so the next sweep regenerates them; without it
     they are only reported.
     """
+    from repro.cpu.capture import CAPTURE_FORMAT
     from repro.runner.replaystore import identity_from_meta, load_meta
 
     store = ResultStore(results_dir)
@@ -215,7 +224,11 @@ def collect_garbage(
                 continue
             if path.suffix == ".npz":
                 meta = load_meta(path)
-                if meta is not None and identity_from_meta(meta) in replay_identities:
+                if (
+                    meta is not None
+                    and meta.get("format") == CAPTURE_FORMAT
+                    and identity_from_meta(meta) in replay_identities
+                ):
                     if _is_corrupt(path):
                         corrupt.append(path.name)
                         if fix and not dry_run:
@@ -226,7 +239,8 @@ def collect_garbage(
                 if meta is None and verify_artifact(path) is not None:
                     # A checksummed artifact that no longer loads is
                     # damage, not garbage: a referenced identity may be
-                    # hiding inside, so preserve the evidence.
+                    # hiding inside, so preserve the evidence.  One that
+                    # loads in another format falls through as garbage.
                     corrupt.append(path.name)
                     if fix and not dry_run:
                         quarantine(path, reason="replay unreadable")

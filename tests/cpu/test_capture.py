@@ -82,7 +82,8 @@ def _bundle_blob(bundle: cap.CaptureBundle) -> dict:
             {
                 "steps": bytes(tape.steps),
                 "events": tape.events_array().tobytes(),
-                "checkpoints": json.dumps(tape.checkpoints, sort_keys=True),
+                "checkpoints": list(tape.checkpoints),
+                "checkpoint_index": list(tape.checkpoint_index),
                 "baseline": tape.baseline,
                 "finish": tape.finish,
                 "length": tape.length,

@@ -4,6 +4,9 @@ and the runner's capture-job scheduling."""
 
 from __future__ import annotations
 
+import gc
+import json
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -26,6 +29,9 @@ from repro.runner.replaystore import (
 )
 from repro.sim.build import build_hierarchy, build_sources, capture_identity
 from repro.trace.workloads import Workload
+
+#: Bound on a loaded bundle's traced heap over its artifact's file size.
+LOADED_BUNDLE_SIZE_RATIO = 1.2
 
 BENCHMARKS = ("mcf", "libq")
 WORKLOAD = Workload("g", BENCHMARKS)
@@ -72,8 +78,10 @@ class TestCapture:
             assert tape.ev_kind.count(5) == 1
             assert tape.baseline is not None and tape.finish is not None
             # Checkpoints start at the pristine state and end at the tape end.
-            assert tape.checkpoints[0]["index"] == 0
-            assert tape.checkpoints[-1]["index"] == meta["length"]
+            assert len(tape.checkpoint_index) == len(tape.checkpoints)
+            assert tape.checkpoint_index[0] == tape.checkpoint(0)["index"] == 0
+            assert tape.checkpoint_index[-1] == meta["length"]
+            assert tape.checkpoint(-1)["index"] == meta["length"]
 
     def test_replay_matches_fused_snapshots(self, bundle):
         fused = _engine("ship")
@@ -270,10 +278,30 @@ class TestArtifactStore:
             assert a.ev_addr == b.ev_addr
             assert a.ev_pc == b.ev_pc
             assert a.checkpoints == b.checkpoints
+            assert a.checkpoint_index == b.checkpoint_index
             assert a.baseline == b.baseline and a.finish == b.finish
         # A loaded bundle drives the replay kernel identically.
         expected = _engine("eaf").run()
         assert run_replay(_engine("eaf"), loaded) == expected
+
+    def test_loaded_bundle_holds_about_its_file_size(self, bundle, tmp_path):
+        """Memory guard: the Python heap a loaded bundle keeps stays close to
+        the artifact's on-disk size.  Decoding the checkpoints into nested
+        lists and dicts reads 1.36x here (1.45x on the 16-core smoke
+        bundle); the encoded form reads 1.10x (1.01x)."""
+        path = tmp_path / "replay-x.npz"
+        save_bundle(bundle, path)
+        load_bundle(path)  # first-call caches are not the bundle's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_bundle(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded is not None
+        assert held <= LOADED_BUNDLE_SIZE_RATIO * path.stat().st_size
 
     def test_corrupt_artifact_loads_as_none(self, tmp_path):
         path = tmp_path / "replay-bad.npz"
@@ -401,12 +429,52 @@ class TestTapeArrays:
             assert a.ev_step == b.ev_step and a.ev_kind == b.ev_kind
             assert a.ev_addr == b.ev_addr and a.ev_pc == b.ev_pc
 
+    def test_checkpoints_stay_encoded(self, bundle, tmp_path):
+        path = tmp_path / "replay-x.npz"
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        for fresh, held in zip(bundle.tapes, loaded.tapes):
+            for tape in (fresh, held):
+                assert all(type(c) is bytes for c in tape.checkpoints)
+                index = tape.checkpoint_index
+                assert type(index) is array and index.typecode == "Q"
+                assert len(index) == len(tape.checkpoints) >= 2
+                assert list(index) == sorted(set(index))
+                assert [tape.checkpoint(i)["index"] for i in range(len(index))] == list(index)
+            assert held.checkpoints == fresh.checkpoints
+            assert held.checkpoint_index == fresh.checkpoint_index
+
+    def test_only_the_restored_checkpoint_is_decoded(self, bundle, tmp_path, monkeypatch):
+        path = tmp_path / "replay-x.npz"
+        save_bundle(bundle, path)
+        decoded = []
+        real_loads = json.loads
+
+        def spy(*args, **kwargs):
+            value = real_loads(*args, **kwargs)
+            if isinstance(value, dict) and "l1" in value:
+                decoded.append(value["index"])
+            return value
+
+        monkeypatch.setattr(json, "loads", spy)
+        loaded = load_bundle(path)
+        assert decoded == []
+        expected = _engine("ship").run()
+        assert run_replay(_engine("ship"), loaded, finalize=True) == expected
+        # No core outran its stream, so the finaliser alone decoded: one
+        # checkpoint per core, each at or before that core's stop point.
+        assert all(tape.live_sim is None for tape in loaded.tapes)
+        assert len(decoded) == len(loaded.tapes)
+        for tape, index in zip(loaded.tapes, decoded):
+            assert index in tape.checkpoint_index
+
     def test_save_load_save_is_byte_identical(self, bundle, tmp_path):
         first, second = tmp_path / "replay-a.npz", tmp_path / "replay-b.npz"
         save_bundle(bundle, first)
         loaded = load_bundle(first)
         for tape in loaded.tapes:
             _assert_compact(tape)
+            assert all(type(c) is bytes for c in tape.checkpoints)
         save_bundle(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 

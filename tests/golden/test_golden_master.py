@@ -143,9 +143,10 @@ class TestStoredArtifactReplay:
     def test_loaded_artifact_matches_fixture(
         self, policy, workload, benchmarks, platform, stored_artifact, monkeypatch
     ):
-        """The on-disk artifact (npz streams plus JSON checkpoints) drives
-        the replay kernel — private-level reconstruction included — to the
-        committed fixture: serialisation loses nothing replay reads."""
+        """The on-disk artifact (npz streams plus encoded checkpoints, the
+        restored one decoded only by the finaliser) drives the replay
+        kernel — private-level reconstruction included — to the committed
+        fixture: serialisation loses nothing replay reads."""
         from repro.cpu import capture
         from repro.runner.replaystore import load_bundle
 

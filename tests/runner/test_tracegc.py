@@ -186,7 +186,72 @@ def _legacy_buffer_name(job, core_id: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:40] + ".npy"
 
 
+def _save_format1(bundle, traces: Path) -> Path:
+    """Write *bundle* as format-1 builds did: checkpoints decoded inside
+    the JSON meta blob, under the content address format 1 gave it."""
+    from repro.sim.build import capture_identity
+
+    meta = dict(bundle.meta, format=1)
+    identity = capture_identity(
+        tuple(meta["benchmarks"]),
+        SystemConfig.scaled(16).with_cores(2),
+        meta["quota"],
+        meta["warmup"],
+        meta["master_seed"],
+    )
+    key = json.dumps(
+        {"v": 1, "identity": list(identity), "slack": meta["slack"]},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    path = traces / f"replay-{hashlib.sha256(key.encode()).hexdigest()[:40]}.npz"
+    blob = {
+        "meta": meta,
+        "tapes": [
+            {
+                "checkpoints": [json.loads(c) for c in tape.checkpoints],
+                "baseline": tape.baseline,
+                "finish": tape.finish,
+                "length": tape.length,
+            }
+            for tape in bundle.tapes
+        ],
+    }
+    arrays = {"meta_json": np.frombuffer(json.dumps(blob).encode(), dtype=np.uint8)}
+    for i, tape in enumerate(bundle.tapes):
+        arrays[f"steps_{i}"] = tape.steps_array()
+        arrays[f"events_{i}"] = tape.events_array()
+    np.savez(path, **arrays)
+    write_checksum(path)
+    return path
+
+
 class TestOlderStores:
+    def test_superseded_capture_format_is_garbage(self, populated_store):
+        """A checksummed capture of an older CAPTURE_FORMAT is removed with
+        its sidecar even though a stored result references its identity —
+        no current build can look it up — and is not reported as corrupt;
+        a damaged current-format capture still is."""
+        from repro.runner.faults import corrupt_file
+        from repro.runner.replaystore import load_bundle
+        from repro.runner.tracegc import list_traces
+
+        traces = populated_store / "traces"
+        (current,) = sorted(traces.glob("replay-*.npz"))
+        old = _save_format1(load_bundle(current), traces)
+        assert old.name != current.name
+        assert "format=1 (superseded)" in dict(
+            (name, line) for name, _, line in list_traces(populated_store).entries
+        )[old.name]
+        corrupt_file(current)
+
+        report = collect_garbage(populated_store)
+
+        assert sorted(report.removed) == sorted([old.name, f"{old.name}.sha256"])
+        assert not old.exists() and not (traces / f"{old.name}.sha256").exists()
+        assert report.corrupt == [current.name]
+        assert current.exists()
+
     def test_synthetic_buffers_are_removed(self, populated_store):
         """Synthetic trace buffers (and their sidecars) that older builds
         wrote are garbage even when a stored result's job would have
