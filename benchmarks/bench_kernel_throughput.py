@@ -1,13 +1,14 @@
 """Accesses/second microbench of the raw engine loop (no runner/store).
 
-Not a paper artifact: this tracks the simulator's own per-access cost — the
-quantity the fused fast-path kernel (:mod:`repro.cpu.fastpath`) optimises —
-so kernel regressions (or future wins) are visible in the recorded
+Not a paper artifact: this tracks the simulator's own per-access cost, so
+kernel regressions (or future wins) are visible in the recorded
 ``BENCH_*.json`` history across PRs.
 
-Three scenarios, each driven through ``MulticoreEngine.run`` on both
-kernels (the fast path and ``force_generic=True``, i.e. the pre-fast-path
-reference loop):
+Each scenario is driven through ``MulticoreEngine.run`` on both kernels:
+the default one — the engine captures its own workload in memory
+(:mod:`repro.cpu.capture`) and replays it (:mod:`repro.cpu.replay`), so
+the "fast" arm times capture + replay together — and ``force_generic=True``,
+the reference loop:
 
 * ``hot_loop`` — a single core running an L1-resident VL-class application
   (``calc``).  Misses are rare, so this isolates the *kernel dispatch*
@@ -21,24 +22,18 @@ reference loop):
   ``adapt_bp32`` policy, the shape of the figure experiments.
 * ``l1_prefetch`` / ``l2_prefetch`` — the ``single_app`` shape with the
   Table 3 next-line prefetcher and the Section 7 L2 stride prefetcher
-  respectively: the configurations PR 3 made fast-path eligible (they
-  previously forced the generic loop for the whole run).
+  respectively.
 * ``ship_llc`` — the four-core mix under SHiP, exercising the native
-  ``"ship"`` fast-op kind (inline signature/outcome/SHCT training that
-  previously dispatched through ``_CALL``-mode hooks).
+  ``"ship"`` fast-op kind (inline signature/outcome/SHCT training).
 * ``llc_sweep`` — an eight-policy sweep over one four-core low-intensity
-  mix: the experiment shape the LLC-filtered replay engine
-  (:mod:`repro.cpu.replay`) targets.  Unlike the per-kernel scenarios it
-  compares *pipelines*: one capture pass plus eight replays against eight
-  fused runs, i.e. exactly what ``ParallelRunner`` schedules for an
-  s-curve point.
+  mix, the shape ``ParallelRunner`` schedules for an s-curve point.  It
+  compares *pipelines*: one shared capture plus eight replays against
+  eight generic-loop runs.
 
 Each scenario records fast and generic accesses/second plus their ratio in
 ``extra_info``; the ``test_kernel_speedup_recorded`` summary asserts the
-bit-identical kernels actually diverge in speed (fast strictly faster
-everywhere, with conservative per-scenario gates — measured locally at
-~3.3x hot-loop / ~2.7x single-app / ~2.2x multicore / ~3.2x l1-prefetch /
-~2.6x l2-prefetch / ~2.0x ship / ~3.6x llc-sweep).
+bit-identical kernels actually diverge in speed, with conservative
+per-scenario gates (:data:`SPEEDUP_GATES`).
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from dataclasses import replace
 
 from repro.cpu.capture import capture_workload
 from repro.cpu.engine import MulticoreEngine
-from repro.cpu.replay import run_replay
 from repro.experiments.common import scale_factor
 from repro.sim.build import build_hierarchy, build_sources
 from repro.sim.config import SystemConfig
@@ -194,7 +188,7 @@ def _sweep_setup():
 
 
 def _measure_llc_sweep() -> dict[str, float]:
-    """Time eight fused runs against one capture plus eight replays."""
+    """Time eight generic-loop runs against one capture plus eight replays."""
     config, workload, quota, warmup = _sweep_setup()
 
     def engine_for(policy):
@@ -206,25 +200,27 @@ def _measure_llc_sweep() -> dict[str, float]:
 
     start = time.perf_counter()
     accesses = 0
-    fused_snapshots = []
+    generic_snapshots = []
     for policy in SWEEP_POLICIES:
         engine = engine_for(policy)
-        fused_snapshots.append(engine.run())
+        generic_snapshots.append(engine.run(force_generic=True))
         accesses += sum(core.accesses for core in engine.cores)
-    fused_elapsed = time.perf_counter() - start
+    generic_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
     bundle = capture_workload(workload.benchmarks, config, quota, warmup, 0)
     replay_snapshots = []
     for policy in SWEEP_POLICIES:
-        replay_snapshots.append(run_replay(engine_for(policy), bundle, finalize=False))
+        replay_snapshots.append(
+            engine_for(policy).run(bundle=bundle, finalize=False)
+        )
     replay_elapsed = time.perf_counter() - start
-    assert replay_snapshots == fused_snapshots, "replay diverged from fused"
+    assert replay_snapshots == generic_snapshots, "replay diverged from generic"
 
     return {
         "accesses_per_second_fast": accesses / replay_elapsed,
-        "accesses_per_second_generic": accesses / fused_elapsed,
-        "kernel_speedup": fused_elapsed / replay_elapsed,
+        "accesses_per_second_generic": accesses / generic_elapsed,
+        "kernel_speedup": generic_elapsed / replay_elapsed,
         "accesses": accesses,
         "policies": len(SWEEP_POLICIES),
     }
@@ -244,7 +240,7 @@ def _measure_llc_sweep_recording() -> dict[str, float]:
 
 
 def test_kernel_llc_sweep_throughput(benchmark):
-    """Capture + N-policy replay vs N fused runs (the ParallelRunner shape)."""
+    """Capture + N-policy replay vs N generic runs (the ParallelRunner shape)."""
     benchmark.pedantic(_measure_llc_sweep_recording, rounds=3, iterations=1)
     info = _SPEEDUPS["llc_sweep"]
     benchmark.extra_info.update(info)
@@ -272,11 +268,10 @@ def _ensure_scenario(name: str) -> None:
     }
 
 
-#: Conservative per-scenario CI gates (local measurements run well above
-#: these): the hot loop isolates pure kernel overhead and must stay >= 2x,
-#: the two prefetch shapes must hold the PR 3 acceptance floor of 2x, the
-#: replay-engine sweep must hold its acceptance floor of 3x end to end
-#: (one capture amortised across eight policies; measured ~3.6x locally).
+#: Conservative per-scenario CI gates against the generic loop: the hot
+#: loop isolates pure kernel overhead and must stay >= 2x, the two
+#: prefetch shapes must hold a floor of 2x, and the sweep must hold 3x end
+#: to end (one capture amortised across eight policies).
 SPEEDUP_GATES = {
     "hot_loop": 2.0,
     "single_app": 1.5,

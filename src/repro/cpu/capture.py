@@ -14,7 +14,7 @@ config)`` and records, per core:
 * a **step stream** — one byte per access classifying its private-time
   cost: L1 hit (``STEP_HIT``), L1-miss/L2-hit (``STEP_L2HIT``) or
   L2 miss reaching the LLC (``STEP_LLC``).  The replay kernel
-  (:mod:`repro.cpu.replay`) re-executes exactly the fused kernel's
+  (:mod:`repro.cpu.replay`) re-executes exactly the generic engine loop's
   floating-point clock recurrence over this stream, so reconstructed
   timestamps are bit-for-bit identical;
 * an **event stream** — the ordered LLC-bound interactions each access
@@ -23,16 +23,25 @@ config)`` and records, per core:
   warm-up-baseline and quota-completion markers, which must be replayed in
   global ``(time, core)`` order because they read live LLC statistics;
 * **private-state checkpoints** — snapshots of the L1/L2 contents,
-  replacement state, stats, and prefetcher tables every
-  ``checkpoint_every`` accesses (and always at the stream end), kept as
-  encoded JSON bytes from the moment they are taken.  Only the one being
-  restored is ever decoded: the replay finaliser reconstructs the exact
-  private-level end state at the run's policy-dependent stop point from
-  the nearest one with a bounded re-simulation, and live extension
-  resumes from the tape-end one.
+  replacement state, stats, and prefetcher tables at quota completion,
+  at regular intervals after it and at the stream end, kept as encoded
+  JSON bytes from the moment they are taken.  Every core of a run has
+  completed its quota when the run stops, so none is needed earlier.
+  Only the one being restored is ever decoded: the replay finaliser
+  reconstructs the exact private-level end state at the run's
+  policy-dependent stop point from the nearest one with a bounded
+  re-simulation, and live extension resumes from the tape-end one.
 
-Every content operation mirrors :mod:`repro.cpu.fastpath` statement for
-statement, which the golden differential suite machine-checks.
+Every content operation mutates the same cache, policy and prefetcher
+state in the same order as the generic engine loop
+(:meth:`repro.cpu.engine.MulticoreEngine._run_generic` through
+:class:`~repro.cache.hierarchy.CacheHierarchy`), which the golden
+differential suite machine-checks.
+
+A policy sweep's capture is saved once and handed to every swept run
+(:mod:`repro.runner.replaystore`); any other fast run captures its own
+workload in memory first (:func:`capture_args`, driven by
+:func:`repro.cpu.fastpath.run_fast`).
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ from array import array
 import numpy as np
 
 from repro.cache.prefetch import StrideEntry
-from repro.cpu.fastpath import _decode_chunk, _residency
 from repro.policies.drrip import DrripPolicy
 from repro.policies.lru import LruPolicy
 from repro.trace.benchmarks import TraceSource, make_source
@@ -51,7 +59,7 @@ from repro.trace.benchmarks import TraceSource, make_source
 #: Step-stream codes: the access's private-time cost class.
 STEP_HIT, STEP_L2HIT, STEP_LLC = 0, 1, 2
 
-#: Event-stream kinds, in the exact order the fused kernel performs them.
+#: Event-stream kinds, in the exact order the generic loop performs them.
 #: ``EV_WB0``/``EV_WB1`` are L2→LLC write-backs arriving at ``t`` (dirty L1
 #: victim path) and ``t + l1_latency`` (demand/prefetch L2-fill path);
 #: ``EV_ND`` is a non-demand (prefetch) LLC fetch, ``EV_DEMAND`` the demand
@@ -74,16 +82,60 @@ CAPTURE_FORMAT = 2
 #: overrun by a few percent, so the default stays lean.
 REPLAY_SLACK = 0.25
 
-#: Target number of private-state checkpoints per stream (the replay
-#: finaliser re-simulates at most one inter-checkpoint span per core, so
-#: denser checkpoints trade a little capture memory for faster finalised
-#: replays).
+#: Accesses one live extension appends to a stream.  Small, because how
+#: far a run outlives its stream is not known in advance, and every
+#: access captured past the run's end is wasted private-level work.
+EXTENSION_STEP = 256
+
+#: Private-state checkpoints are spaced 1/_TARGET_CHECKPOINTS of the
+#: stream apart (the replay finaliser re-simulates at most one
+#: inter-checkpoint span per core, so denser checkpoints trade a little
+#: capture memory for faster finalised replays).
 _TARGET_CHECKPOINTS = 24
 
 
 def _checkpoint_interval(length: int) -> int:
     """Accesses between private-state checkpoints on a *length*-access stream."""
     return max(TraceSource.CHUNK, -(-length // _TARGET_CHECKPOINTS))
+
+
+def _decode_chunk(source, set_mask: int) -> tuple:
+    """Fetch and pre-decode one trace chunk: native lists + set indices.
+
+    ``next_chunk`` hands back NumPy arrays; the per-access loop wants plain
+    Python scalars (dict keys, arbitrary-precision arithmetic) and the L1
+    set index of every access.  Both conversions are done here with
+    vectorised NumPy operations, once per ``CHUNK``.
+
+    Returns ``(addrs, sets, pcs, writes, position)``.
+    """
+    arr_addrs, arr_pcs, arr_writes, pos = source.next_chunk()
+    return (
+        arr_addrs.tolist(),
+        (arr_addrs & set_mask).tolist(),
+        arr_pcs.tolist(),
+        arr_writes.tolist(),
+        pos,
+    )
+
+
+def _residency(cache) -> tuple[dict, list[int]]:
+    """Kernel-local residency index: ``{addr: way}`` plus valid ways per set.
+
+    A block address determines its set, so one flat dict per cache is
+    unambiguous.  Built from the cache's current contents (normally empty)
+    and maintained by the kernel in lock-step with the address arrays.
+    """
+    lookup: dict[int, int] = {}
+    valid: list[int] = []
+    for row in cache.addrs:
+        count = 0
+        for way, addr in enumerate(row):
+            if addr != -1:
+                lookup[addr] = way
+                count += 1
+        valid.append(count)
+    return lookup, valid
 
 
 class CoreTape:
@@ -127,8 +179,9 @@ class CoreTape:
         self.baseline: dict | None = None
         self.finish: dict | None = None
         self.length = 0
-        #: Scratch continuation simulator, attached lazily by the replay
-        #: kernel when a run outlives the captured stream.
+        #: Continuation simulator at the tape end: the capture's own, or
+        #: one attached by the replay kernel when a run outlives a stream
+        #: loaded from disk.
         self.live_sim: PrivateCoreSim | None = None
 
     def add_checkpoint(self, state: dict) -> None:
@@ -182,7 +235,7 @@ class CaptureBundle:
 class PrivateCoreSim:
     """Private-level content simulator for one core.
 
-    Mirrors the fused kernel's L1/L2/prefetcher behaviour exactly (same
+    Mirrors the generic loop's L1/L2/prefetcher behaviour exactly (same
     state objects, same mutation order); used three ways:
 
     * **capture** — ``run(n, record=True)`` appends step codes and LLC
@@ -192,8 +245,8 @@ class PrivateCoreSim:
       outlives the captured stream;
     * **reconstruction** — the replay finaliser resumes the engine's *own*
       cache/prefetcher/source objects from a checkpoint and re-simulates
-      (``record=False``) up to the exact access index where the fused
-      kernel would have stopped.
+      (``record=False``) up to the exact access index where the generic
+      loop would have stopped.
     """
 
     __slots__ = (
@@ -344,7 +397,7 @@ class PrivateCoreSim:
     # -- the private-level loop ---------------------------------------------
 
     def run(self, n: int, record: bool = True) -> None:
-        """Process the next *n* accesses, mirroring the fused kernel.
+        """Process the next *n* accesses, mirroring the generic loop.
 
         With ``record``, step codes and LLC-bound events are appended to
         the tape; without, only the private state advances (the
@@ -408,7 +461,7 @@ class PrivateCoreSim:
         ipa = self.instructions_per_access
 
         def l2_fill(addr, s, insertion, dirty):
-            """Mirror of the fused kernel's ``l2_fill``."""
+            """Select a victim if needed and install *addr* in the L2."""
             victim_addr = -1
             victim_dirty = False
             row = rows2[s]
@@ -673,6 +726,80 @@ def _meta_geometry(meta: dict):
     )
 
 
+def _platform(config) -> dict:
+    """The private-level geometry and prefetch fields of a capture's meta.
+
+    *config* is a :class:`~repro.sim.config.SystemConfig`, or the built
+    :class:`~repro.cache.hierarchy.CacheHierarchy` of an engine whose own
+    workload is captured in memory.  A hierarchy without stride
+    prefetchers records degree 0; the degree is read only when the
+    prefetchers exist.
+    """
+    if hasattr(config, "l1s"):
+        l1, l2, pfs = config.l1s[0], config.l2s[0], config.l2_prefetchers
+        return {
+            "l1_sets": l1.num_sets,
+            "l1_ways": l1.ways,
+            "l2_sets": l2.num_sets,
+            "l2_ways": l2.ways,
+            "llc_sets": config.llc.num_sets,
+            "l1_next_line_prefetch": bool(config.l1_next_line_prefetch),
+            "l2_stride_prefetch": pfs is not None,
+            "l2_prefetch_degree": pfs[0].degree if pfs is not None else 0,
+        }
+    return {
+        "l1_sets": config.l1.num_sets,
+        "l1_ways": config.l1.ways,
+        "l2_sets": config.l2.num_sets,
+        "l2_ways": config.l2.ways,
+        "llc_sets": config.llc.num_sets,
+        "l1_next_line_prefetch": bool(config.l1_next_line_prefetch),
+        "l2_stride_prefetch": bool(config.l2_stride_prefetch),
+        "l2_prefetch_degree": int(config.l2_prefetch_degree),
+    }
+
+
+def capture_args(engine) -> tuple | None:
+    """:func:`capture_workload`'s arguments for *engine*'s own workload.
+
+    The capture rebuilds each core's source from its trace name, so it
+    needs sources that name their trace and have not been read yet, built
+    for their own core and the hierarchy's geometry.  Returns ``None`` for anything else, and for private levels other than
+    plain-LRU L1s and plain-DRRIP L2s; such engines run the generic loop.
+    Duck-typed sources (instrumentation wrappers exposing only
+    ``next_access``) are among them.
+
+    The streams are captured without slack: a run that outlives one
+    continues it on the capture's own simulator, a step at a time
+    (:func:`extend_tape`), so no access past the run's end is captured in
+    bulk.
+    """
+    h = engine.hierarchy
+    for cache in h.l1s:
+        if type(cache.policy) is not LruPolicy:
+            return None
+    for cache in h.l2s:
+        if type(cache.policy) is not DrripPolicy:
+            return None
+    platform = _platform(h)
+    geometry = _meta_geometry(platform)
+    names = []
+    for cid, source in enumerate(engine.sources):
+        spec = getattr(source, "spec", None)
+        if (
+            spec is None
+            or not hasattr(source, "next_chunk")
+            or getattr(source, "chunks_generated", 1)
+            or getattr(source, "geometry", None) != geometry
+            or getattr(source, "core_id", None) != cid
+        ):
+            return None
+        names.append(spec.name)
+    # The replay kernel checks the rest: quota, warm-up, seeds, chunk size.
+    seed = engine.sources[0].master_seed
+    return tuple(names), h, engine.cores[0].quota, engine.warmup_accesses, seed, 0.0
+
+
 def advance_source(source, n: int) -> None:
     """State-only advance of *source* past *n* accesses.
 
@@ -706,6 +833,8 @@ def capture_workload(
     simulates each core ``(quota + warmup) * (1 + slack)`` accesses, and
     returns the bundle the replay kernel consumes.  Sources go through
     :func:`repro.trace.benchmarks.make_source`, like every other run.
+    *config* is a :class:`~repro.sim.config.SystemConfig` or a built
+    hierarchy (see :func:`_platform`).
     """
     finish = quota + warmup
     n_cap = finish + int(round(slack * finish))
@@ -720,14 +849,7 @@ def capture_workload(
         "slack": slack,
         "length": n_cap,
         "chunk": TraceSource.CHUNK,
-        "l1_sets": config.l1.num_sets,
-        "l1_ways": config.l1.ways,
-        "l2_sets": config.l2.num_sets,
-        "l2_ways": config.l2.ways,
-        "llc_sets": config.llc.num_sets,
-        "l1_next_line_prefetch": bool(config.l1_next_line_prefetch),
-        "l2_stride_prefetch": bool(config.l2_stride_prefetch),
-        "l2_prefetch_degree": int(config.l2_prefetch_degree),
+        **_platform(config),
     }
     geometry = _meta_geometry(meta)
 
@@ -739,14 +861,13 @@ def capture_workload(
         sim = PrivateCoreSim(
             l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape
         )
-        boundaries = {n_cap}
+        # Checkpoints from quota completion on: every core of a run has
+        # reached it when the run ends, so the finaliser never restores an
+        # earlier one.
+        boundaries = {finish, n_cap}
+        boundaries.update(range(interval * (finish // interval + 1), n_cap, interval))
         if warmup > 0:
             boundaries.add(warmup)
-        boundaries.add(finish)
-        boundaries.update(range(interval, n_cap, interval))
-        # Index-0 checkpoint: reconstruction of a cut before the first
-        # interval starts from the pristine state.
-        tape.add_checkpoint(sim.snapshot_state())
         done = 0
         for boundary in sorted(boundaries):
             sim.run(boundary - done)
@@ -771,8 +892,11 @@ def capture_workload(
                 tape.ev_kind.append(EV_SNAPSHOT)
                 tape.ev_addr.append(0)
                 tape.ev_pc.append(0)
-            if boundary % interval == 0 or boundary == n_cap:
+            if boundary >= finish:
                 tape.add_checkpoint(sim.snapshot_state())
+        # The capture's own simulator continues the stream if a replay
+        # outlives it, so an extension never rebuilds the tape-end state.
+        tape.live_sim = sim
         tapes.append(tape)
 
     return CaptureBundle(meta, tapes)
@@ -783,10 +907,11 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
 
     Used by the replay kernel when a run outlives the captured stream
     (heavy completion-time skew between co-runners).  The continuation
-    runs on scratch private levels resumed from the tape-end checkpoint —
-    the engine's own objects stay untouched for the final reconstruction —
-    and appends a fresh checkpoint so both further extension and the
-    finaliser can pick up from the new end.
+    runs on the capture's own simulator, or, for a bundle loaded from
+    disk, on scratch private levels resumed from the tape-end checkpoint
+    — the engine's own objects stay untouched for the final
+    reconstruction — and appends a checkpoint every interval so the
+    finaliser can pick up near the new end.
     """
     tape = bundle.tapes[core_id]
     sim = tape.live_sim
@@ -809,7 +934,7 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     # Keep the capture pass's checkpoint density: further extension resumes
     # from the persistent live_sim, and the replay finaliser only needs a
     # checkpoint within one interval of the final cut — appending one per
-    # extension chunk would bloat long overruns for no benefit.
+    # extension step would bloat long overruns for no benefit.
     interval = _checkpoint_interval(bundle.meta["length"])
     if sim.count - tape.checkpoint_index[-1] >= interval:
         tape.add_checkpoint(sim.snapshot_state())

@@ -125,19 +125,31 @@ class MulticoreEngine:
 
     # -- main loop -------------------------------------------------------------------
 
-    def run(self, force_generic: bool = False) -> list[CoreSnapshot]:
+    def run(
+        self,
+        force_generic: bool = False,
+        *,
+        bundle=None,
+        finalize: bool = True,
+    ) -> list[CoreSnapshot]:
         """Run warm-up then measurement to completion; one snapshot per core.
 
-        Dispatches to the fused fast-path kernel
-        (:mod:`repro.cpu.fastpath`) when the hierarchy matches its
-        supported shape; behaviour is bit-for-bit identical either way
-        (machine-checked by the golden-master suite).  ``force_generic``
-        — or the ``REPRO_NO_FASTPATH`` environment variable — pins the
-        generic loop, which is how the differential tests drive both
-        kernels over the same configuration.
+        The one place a kernel is chosen.  Unless ``force_generic`` or the
+        ``REPRO_NO_FASTPATH`` environment variable pins the generic loop,
+        the run goes to capture + replay (:func:`repro.cpu.fastpath.run_fast`):
+        it replays *bundle*, a policy sweep's shared capture, when that
+        matches this engine, and otherwise captures this engine's own
+        workload in memory first.  An engine the capture cannot serve
+        falls back to the generic loop.  Behaviour is bit-for-bit
+        identical either way (machine-checked by the golden-master suite).
+
+        With ``finalize`` (the default) the private caches, sources and
+        prefetchers end exactly where the generic loop leaves them.
+        Callers that read only the snapshots and the LLC side pass
+        ``finalize=False`` to skip that reconstruction.
         """
         if not force_generic and fastpath.fastpath_enabled():
-            snapshots = fastpath.run_fast(self)
+            snapshots = fastpath.run_fast(self, bundle, finalize)
             if snapshots is not None:
                 return snapshots
         return self._run_generic()

@@ -1,59 +1,31 @@
-"""Fused fast-path simulation kernel.
+"""The fast kernel's entry point and its LLC inline-dispatch plan.
 
-The generic engine walks every access through five object layers
-(``MulticoreEngine`` → ``CacheHierarchy`` → three ``SetAssociativeCache``
-levels → policy hooks), which costs a dozen Python calls, repeated
-attribute chains and an ``AccessOutcome`` allocation per access.  This
-module flattens that chain into one loop plus a small set of *per-core
-compiled closures* whose free variables carry all hot state:
+The engine has two kernels: the generic reference loop
+(:meth:`repro.cpu.engine.MulticoreEngine._run_generic`) and capture +
+replay.  :meth:`~repro.cpu.engine.MulticoreEngine.run` is the one place
+that picks between them: it calls :func:`run_fast` unless
+``REPRO_NO_FASTPATH`` is set (:func:`fastpath_enabled`), and falls back to
+the generic loop when that returns ``None``.
 
-* residency is answered by kernel-local ``{block_addr: way}`` dicts plus
-  per-set valid-way counts (built from — and kept consistent with — the
-  caches' address arrays), replacing the generic path's ``list.index``
-  scans and their exception-driven miss handling;
-* the L1 level (always plain per-core LRU in the standard build) and the
-  L2 level (always plain per-core DRRIP) are inlined completely — stats,
-  recency/RRPV updates, set duelling, victim selection and fills all
-  operate directly on the caches' per-set arrays;
-* the shared LLC runs *any* policy: hooks a policy left at known
-  implementations are inlined through the
-  :class:`~repro.policies.base.FastPathOps` protocol — family RRPV/stamp
-  arrays plus the native ``"ship"``/``"eaf"``/``"adapt"`` kinds (SHiP
-  signature/outcome training, EAF Bloom-filter updates, ADAPT's monitor
-  tap) and inline set-duelling PSEL movement — while overridden hooks
-  stay method calls, so bypass and monitoring wrappers behave
-  identically;
-* both prefetch shapes of the configuration space are inlined too: the
-  L1 next-line prefetch (Table 3) and the per-core L2 stride prefetcher
-  issue/fill sequence (:mod:`repro.cache.prefetch`), whose traffic is
-  non-demand end to end (footnote 4: no recency promotion, no PSEL
-  movement, no monitor samples, no interval ticks);
-* bank, DRAM, arbiter, MSHR and write-back-buffer timing arithmetic is
-  inlined with precomputed masks (the generic path recomputes ``ilog2``
-  per access);
-* trace sources are consumed as chunk arrays (:meth:`TraceSource.next_chunk`)
-  instead of one generator call per access, and a core whose next event
-  is still the earliest skips the scheduling heap entirely.
+:func:`run_fast` replays the capture bundle it is handed
+(:mod:`repro.cpu.replay`) when the bundle matches the engine — the policy
+sweeps' shared captures — and otherwise captures the engine's own
+workload in memory (:mod:`repro.cpu.capture`) and replays that.  Both
+kernels mutate the same state objects in the same order, so they are
+bit-for-bit equivalent; the golden-master suite under ``tests/golden/``
+machine-checks it for every registered policy on both the plain and the
+prefetch-enabled platforms.
 
-Every operation mutates the *same* state objects in the *same* order as
-the generic path, so the two kernels are bit-for-bit equivalent — which
-the golden-master suite under ``tests/golden/`` machine-checks for every
-registered policy on both the plain and the prefetch-enabled platforms.
-
-``run_fast`` returns ``None`` when the platform does not match the
-supported shape (non-standard private-level policies, or duck-typed
-trace sources without chunked consumption) and when ``REPRO_NO_FASTPATH``
-is set; the engine then falls back to the generic loop.
+:class:`LlcDispatch` is the replay kernel's plan for running an LLC
+policy's hooks inline through the :class:`~repro.policies.base.FastPathOps`
+protocol.
 """
 
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush, heappushpop
 
-from repro.policies.base import BYPASS, ReplacementPolicy
-from repro.policies.drrip import DrripPolicy
-from repro.policies.lru import LruPolicy
+from repro.policies.base import ReplacementPolicy
 
 #: Inline-dispatch modes for the LLC hit/victim/fill hooks.
 _CALL, _RRIP, _STACK, _SHIP, _ADAPT = 0, 1, 2, 3, 4
@@ -72,9 +44,9 @@ class LlcDispatch:
     """Resolved inline-dispatch plan for one bound LLC policy.
 
     Computed once per run from the policy's :class:`FastPathOps` by
-    :func:`resolve_llc_dispatch`; both inline kernels (the fused loop here
-    and the LLC-filtered replay kernel, :mod:`repro.cpu.replay`) unpack the
-    same plan, so a policy dispatches identically under either engine.
+    :func:`resolve_llc_dispatch` and unpacked by the replay kernel
+    (:mod:`repro.cpu.replay`): hooks a policy left at known implementations
+    run inline there, overridden ones stay method calls.
     """
 
     __slots__ = (
@@ -171,1109 +143,27 @@ def resolve_llc_dispatch(policy) -> LlcDispatch:
     return d
 
 
-def _decode_chunk(source, set_mask: int) -> tuple:
-    """Fetch and pre-decode one trace chunk: native lists + set indices.
+def run_fast(engine, bundle=None, finalize: bool = True) -> list | None:
+    """Run *engine* to completion on the capture + replay kernel.
 
-    ``next_chunk`` hands back NumPy arrays; the per-access loop wants plain
-    Python scalars (dict keys, arbitrary-precision arithmetic) and the L1
-    set index of every access.  Both conversions are done here with
-    vectorised NumPy operations, once per ``CHUNK`` — replacing the old
-    per-access ``addr & mask`` arithmetic and the per-chunk ``tolist``
-    inside the sources.
+    Replays *bundle* when it matches the engine; otherwise captures the
+    engine's own workload in memory and replays that.  Returns the
+    per-core snapshots, or ``None`` when the engine's shape is not
+    eligible (see :func:`repro.cpu.capture.capture_args`); the caller
+    then runs the generic loop.  ``finalize`` is
+    :func:`repro.cpu.replay.run_replay`'s: callers that read only the
+    snapshots and the LLC side pass ``False``.
 
-    Returns ``(addrs, sets, pcs, writes, position)``.
+    The kernels are looked up as module attributes at call time, so a
+    wrapper installed on either (the benchmark tracer's) sees every call.
     """
-    arr_addrs, arr_pcs, arr_writes, pos = source.next_chunk()
-    return (
-        arr_addrs.tolist(),
-        (arr_addrs & set_mask).tolist(),
-        arr_pcs.tolist(),
-        arr_writes.tolist(),
-        pos,
-    )
+    from repro.cpu import capture, replay
 
-
-def _residency(cache) -> tuple[dict, list[int]]:
-    """Kernel-local residency index: ``{addr: way}`` plus valid ways per set.
-
-    A block address determines its set, so one flat dict per cache is
-    unambiguous.  Built from the cache's current contents (normally empty)
-    and maintained by the kernel in lock-step with the address arrays.
-    """
-    lookup: dict[int, int] = {}
-    valid: list[int] = []
-    for row in cache.addrs:
-        count = 0
-        for way, addr in enumerate(row):
-            if addr != -1:
-                lookup[addr] = way
-                count += 1
-        valid.append(count)
-    return lookup, valid
-
-
-def run_fast(engine) -> list | None:
-    """Run *engine* to completion on the fused kernel.
-
-    Returns the per-core snapshots, or ``None`` when the hierarchy does not
-    match the supported shape (the caller must then use the generic loop).
-    """
-    h = engine.hierarchy
-    l1s, l2s, llc = h.l1s, h.l2s, h.llc
-    for cache in l1s:
-        if type(cache.policy) is not LruPolicy:
-            return None
-    for cache in l2s:
-        if type(cache.policy) is not DrripPolicy:
-            return None
-    for source in engine.sources:
-        # Duck-typed sources (instrumentation wrappers exposing only
-        # next_access) run on the generic loop.
-        if not hasattr(source, "next_chunk"):
-            return None
-
-    cores = engine.cores
-    sources = engine.sources
-    n = h.num_cores
-
-    # -- LLC state (any policy; inline what the FastPathOps allow) ----------
-    llc_mask = llc.set_mask
-    llc_ways = llc.ways
-    llc_lookup, llc_valid = _residency(llc)
-    llc_addrs = llc.addrs
-    llc_dirty = llc.dirty
-    llc_owner = llc.owner
-    llc_reused = llc.reused
-    llc_occ = llc.occupancy
-    s3 = llc.stats
-    llc_dh, llc_dm = s3.demand_hits, s3.demand_misses
-    llc_oh, llc_om = s3.other_hits, s3.other_misses
-    llc_by, llc_wbarr = s3.bypasses, s3.writeback_arrivals
-    llc_ev, llc_dev, llc_fl = s3.evictions, s3.dirty_evictions, s3.fills
-
-    policy = llc.policy
-    dispatch = resolve_llc_dispatch(policy)
-    call_on_miss = dispatch.call_on_miss
-    hit_mode = dispatch.hit_mode
-    victim_mode = dispatch.victim_mode
-    fill_mode = dispatch.fill_mode
-    evict_mode = dispatch.evict_mode
-    rows3 = dispatch.rows
-    nmru3, nlru3 = dispatch.next_mru, dispatch.next_lru
-    max3 = dispatch.max_code
-    sig3, out3, shct3 = dispatch.ship_sigs, dispatch.ship_outcomes, dispatch.shct
-    shct_max3 = dispatch.shct_max
-    sig_entries3 = dispatch.shct_entries
-    sig_bits3 = dispatch.sig_bits
-    sig_mask3 = dispatch.sig_mask
-    salt3 = dispatch.sig_salt_shift
-    eaf3 = dispatch.eaf
-    eaf_mults3 = dispatch.eaf_mults
-    eaf_size3, eaf_cap3 = dispatch.eaf_size, dispatch.eaf_capacity
-    samplers3 = dispatch.samplers
-    duel_roles3, duel_psels3 = dispatch.duel_roles, dispatch.duel_psels
-    p_on_hit = policy.on_hit
-    p_on_miss = policy.on_miss
-    p_on_evict = policy.on_evict
-    p_on_fill = policy.on_fill
-    p_decide = policy.decide_insertion
-    p_victim = policy.victim
-    end_interval = policy.end_interval
-
-    # -- timing models ------------------------------------------------------
-    l1_latency = h.l1_latency
-    l2_latency = h.l2_latency
-    banks = h.llc_banks
-    bank_mask = banks.num_banks - 1
-    bank_free = banks._free_at
-    bank_occ = banks.occupancy
-    bank_lat = banks.latency
-    dram = h.dram
-    dram_mask = dram.num_banks - 1
-    dram_bpr = dram.blocks_per_row
-    dram_open = dram._open_row
-    dram_busy = dram._busy_until
-    dram_hit = dram.row_hit_cycles
-    dram_conf = dram.row_conflict_cycles
-    dram_occ = dram.bank_occupancy
-    arb = h.arbiter
-    arb_virtual = arb._virtual
-    arb_window = arb.window
-    arb_cost = arb.service_cycles * arb.num_cores
-    mshr = h.llc_mshr
-    msh_heap = mshr._completions if mshr is not None else None
-    msh_by = mshr._by_block if mshr is not None else None
-    msh_entries = mshr.entries if mshr is not None else 0
-    llc_wb = h.llc_wb_buffer
-
-    # Hot scalar counters live in locals (closure cells) for the duration of
-    # the run and are written back to their objects in the ``finally`` block;
-    # nothing reads them mid-run (baselines/snapshots read cache stats only).
-    dram_reads = dram.reads
-    dram_writes = dram.writes
-    dram_rowhits = dram.row_hits
-    dram_rowconf = dram.row_conflicts
-    bank_accs = banks.accesses
-    bank_confs = banks.conflicts
-    arb_reqs = arb.requests
-    arb_throt = arb.throttled
-    mshr_merged = mshr.merged if mshr is not None else 0
-    mshr_stalls = mshr.stalls if mshr is not None else 0
-    msh_get = msh_by.get if msh_by is not None else None
-    llc_get = llc_lookup.get
-    llc_sets = llc.num_sets
-
-    # -- prefetch configuration ---------------------------------------------
-    l1_pf = h.l1_next_line_prefetch
-    l2_pfs = h.l2_prefetchers
-    prefetches_issued = h.prefetches_issued
-
-    # -- DRAM write-back path (LLC write-back buffer inlined) ---------------
-
-    if llc_wb is not None:
-        wb3_heap = llc_wb._retires
-        wb3_entries = llc_wb.entries
-        wb3_retire_at = llc_wb.retire_at
-        wb3_drain = llc_wb.drain_cycles
-        wb3_stalls = llc_wb.stalls
-        wb3_admitted = llc_wb.admitted
-        wb3_last = llc_wb._last_retire
-    else:
-        wb3_stalls = wb3_admitted = 0
-        wb3_last = 0.0
-
-    def wb_to_dram(addr, now):
-        nonlocal wb3_stalls, wb3_admitted, wb3_last
-        nonlocal dram_writes, dram_rowhits, dram_rowconf
-        start = now
-        if llc_wb is not None:
-            while wb3_heap and wb3_heap[0] <= start:
-                heappop(wb3_heap)
-            if len(wb3_heap) >= wb3_entries:
-                start = wb3_heap[0]
-                wb3_stalls += 1
-                while wb3_heap and wb3_heap[0] <= start:
-                    heappop(wb3_heap)
-            if len(wb3_heap) >= wb3_retire_at:
-                retire = (wb3_last if wb3_last > start else start) + wb3_drain
-            else:
-                retire = start + wb3_drain
-            wb3_last = retire
-            heappush(wb3_heap, retire)
-            wb3_admitted += 1
-        dram_writes += 1
-        dram_row = addr // dram_bpr
-        bank = (dram_row & dram_mask) ^ ((dram_row >> 8) & dram_mask)
-        bstart = dram_busy[bank]
-        if bstart < start:
-            bstart = start
-        if dram_open[bank] == dram_row:
-            dram_rowhits += 1
-        else:
-            dram_rowconf += 1
-            dram_open[bank] = dram_row
-        dram_busy[bank] = bstart + dram_occ
-
-    # -- per-core compiled closures -----------------------------------------
-
-    def compile_core(cid):
-        """Bind one core's L2/arbiter/write-back state into closures.
-
-        Returns ``(fetch_below, l1_victim_to_l2)``; both mutate the shared
-        LLC/DRAM structures through the enclosing scope.
-        """
-        l2 = l2s[cid]
-        mask2 = l2.set_mask
-        ways2 = l2.ways
-        lookup2, valid2 = _residency(l2)
-        rows2 = l2.addrs
-        dirty2 = l2.dirty
-        reused2 = l2.reused
-        occ2 = l2.occupancy
-        st2 = l2.stats
-        dh2, dm2 = st2.demand_hits, st2.demand_misses
-        oh2, om2 = st2.other_hits, st2.other_misses
-        wba2 = st2.writeback_arrivals
-        ev2, dev2, fl2 = st2.evictions, st2.dirty_evictions, st2.fills
-        pol2 = l2.policy
-        rrpv2 = pol2.rrpv
-        maxr2 = pol2.max_rrpv
-        psel2 = pol2._psel
-        tick2 = pol2._ticker
-        psel_val = psel2.value
-        psel_max = psel2.max_value
-        psel_thr = psel2.threshold
-        tick_cnt = tick2._count
-        tick_phase = tick2._phase
-        tick_den = tick2.denominator
-        l2_get = lookup2.get
-        roles_get = pol2._duel.roles_for(0).get
-        if samplers3 is not None:
-            smp3 = samplers3[cid]
-            mon_get = smp3._index_of.get
-            mon_arrays = smp3._arrays
-        else:
-            smp3 = mon_get = mon_arrays = None
-        if duel_psels3 is not None:
-            d_psel = duel_psels3[cid]
-            d_get = duel_roles3[cid].get
-            d_max = d_psel.max_value
-        else:
-            d_psel = d_get = None
-            d_max = 0
-        pf2 = l2_pfs[cid] if l2_pfs is not None else None
-        pf2_train = pf2.train if pf2 is not None else None
-        wb2 = h.l2_wb_buffers[cid] if h.l2_wb_buffers is not None else None
-        if wb2 is not None:
-            wb2_heap = wb2._retires
-            wb2_entries = wb2.entries
-            wb2_retire_at = wb2.retire_at
-            wb2_drain = wb2.drain_cycles
-            wb2_stalls = wb2.stalls
-            wb2_admitted = wb2.admitted
-            wb2_last = wb2._last_retire
-        else:
-            wb2_stalls = wb2_admitted = 0
-            wb2_last = 0.0
-
-        def sync_core():
-            """Write localized per-core scalar state back to its objects."""
-            psel2.value = psel_val
-            tick2._count = tick_cnt
-            if wb2 is not None:
-                wb2.stalls = wb2_stalls
-                wb2.admitted = wb2_admitted
-                wb2._last_retire = wb2_last
-
-        def llc_fill(addr, s, pc, decision, is_write, is_demand):
-            """Select a victim if needed and install *addr* in the LLC.
-
-            The single fill sequence both LLC miss flavours share (demand
-            reads and L2-victim write-backs); returns
-            ``(victim_addr, victim_dirty)``.
-            """
-            victim_addr = -1
-            victim_dirty = False
-            row = llc_addrs[s]
-            if llc_valid[s] < llc_ways:
-                way = row.index(-1)
-                llc_valid[s] += 1
-            else:
-                if victim_mode == _RRIP:
-                    rrow = rows3[s]
-                    current_max = max(rrow)
-                    if current_max < max3:
-                        delta = max3 - current_max
-                        rrow[:] = [v + delta for v in rrow]
-                    way = rrow.index(max3)
-                elif victim_mode == _STACK:
-                    srow = rows3[s]
-                    way = srow.index(min(srow))
-                else:
-                    way = p_victim(s, cid)
-                victim_addr = row[way]
-                victim_dirty = llc_dirty[s][way]
-                victim_owner = llc_owner[s][way]
-                if evict_mode == _EV_SHIP:
-                    # Eviction without reuse punishes the line's signature.
-                    if not out3[s][way]:
-                        sg = sig3[s][way]
-                        v = shct3[sg]
-                        if v > 0:
-                            shct3[sg] = v - 1
-                elif evict_mode == _EV_EAF:
-                    # Bloom-filter insert (multiplicative hash family); the
-                    # bit array is re-read because clear() rebinds it.
-                    mixed = (victim_addr ^ (victim_addr >> 17)) + 0x9E37
-                    bits = eaf3._bits
-                    for mult in eaf_mults3:
-                        bits[(((mixed * mult) & _MASK64) >> 31) % eaf_size3] = 1
-                    ins = eaf3.inserted + 1
-                    eaf3.inserted = ins
-                    if ins >= eaf_cap3:
-                        eaf3.clear()
-                elif evict_mode == _EV_CALL:
-                    p_on_evict(
-                        s,
-                        way,
-                        victim_owner,
-                        victim_addr,
-                        llc_reused[s][way],
-                    )
-                llc_ev[victim_owner] += 1
-                if victim_dirty:
-                    llc_dev[victim_owner] += 1
-                llc_occ[victim_owner] -= 1
-                del llc_lookup[victim_addr]
-            row[way] = addr
-            llc_lookup[addr] = way
-            llc_dirty[s][way] = is_write
-            llc_owner[s][way] = cid
-            llc_reused[s][way] = False
-            llc_occ[cid] += 1
-            llc_fl[cid] += 1
-            if fill_mode == _RRIP:
-                rows3[s][way] = decision
-            elif fill_mode == _SHIP:
-                # RRIP install plus the folded PC signature and a fresh
-                # outcome bit (write-back fills are born "reused" so their
-                # eviction never punishes signature 0).
-                rows3[s][way] = decision
-                value = pc if salt3 is None else pc ^ (cid << salt3)
-                folded = 0
-                while value:
-                    folded ^= value & sig_mask3
-                    value >>= sig_bits3
-                sig3[s][way] = folded % sig_entries3
-                out3[s][way] = not is_demand
-            elif fill_mode == _STACK:
-                if decision == 1:  # MRU_INSERT
-                    st = nmru3[s]
-                    rows3[s][way] = st
-                    nmru3[s] = st + 1
-                else:
-                    st = nlru3[s]
-                    rows3[s][way] = st
-                    nlru3[s] = st - 1
-            else:
-                p_on_fill(s, way, decision, cid, pc, addr, is_demand)
-            return victim_addr, victim_dirty
-
-        def wb_to_llc(addr, now):
-            """A dirty L2 victim arrives at the LLC (non-demand write)."""
-            nonlocal wb2_stalls, wb2_admitted, wb2_last, bank_accs, bank_confs
-            start = now
-            if wb2 is not None:
-                while wb2_heap and wb2_heap[0] <= start:
-                    heappop(wb2_heap)
-                if len(wb2_heap) >= wb2_entries:
-                    start = wb2_heap[0]
-                    wb2_stalls += 1
-                    while wb2_heap and wb2_heap[0] <= start:
-                        heappop(wb2_heap)
-                if len(wb2_heap) >= wb2_retire_at:
-                    retire = (wb2_last if wb2_last > start else start) + wb2_drain
-                else:
-                    retire = start + wb2_drain
-                wb2_last = retire
-                heappush(wb2_heap, retire)
-                wb2_admitted += 1
-            s = addr & llc_mask
-            way = llc_get(addr, -1)
-            llc_wbarr[cid] += 1
-            bypassed = False
-            victim_addr = -1
-            victim_dirty = False
-            if way >= 0:
-                llc_oh[cid] += 1
-                llc_dirty[s][way] = True
-                if hit_mode == _CALL:
-                    # Family defaults ignore non-demand hits; overridden
-                    # hooks must still see them.
-                    p_on_hit(s, way, cid, False, addr)
-            else:
-                llc_om[cid] += 1
-                if call_on_miss:
-                    p_on_miss(s, cid, False)
-                decision = p_decide(s, cid, 0, addr, False)
-                if decision is BYPASS:
-                    llc_by[cid] += 1
-                    bypassed = True
-                else:
-                    victim_addr, victim_dirty = llc_fill(
-                        addr, s, 0, decision, True, False
-                    )
-            # Bank timing runs after the content operation (generic order).
-            bank = (addr & bank_mask) ^ ((addr >> 8) & bank_mask)
-            bstart = bank_free[bank]
-            if bstart > start:
-                bank_confs += 1
-            else:
-                bstart = start
-            bank_free[bank] = bstart + bank_occ
-            bank_accs += 1
-            if bypassed:
-                # The policy refused allocation; the dirty data must still
-                # land somewhere, so it streams through to memory.
-                wb_to_dram(addr, start)
-            elif victim_dirty:
-                wb_to_dram(victim_addr, start)
-
-        def l2_fill(addr, s, insertion, dirty):
-            """Select a victim if needed and install *addr* in the L2.
-
-            The single fill sequence both L2 miss flavours share (demand
-            fetches and dirty L1 victims); returns
-            ``(victim_addr, victim_dirty)``.
-            """
-            victim_addr = -1
-            victim_dirty = False
-            row = rows2[s]
-            if valid2[s] < ways2:
-                way = row.index(-1)
-                valid2[s] += 1
-            else:
-                rrow = rrpv2[s]
-                current_max = max(rrow)
-                if current_max < maxr2:
-                    delta = maxr2 - current_max
-                    rrow[:] = [v + delta for v in rrow]
-                way = rrow.index(maxr2)
-                victim_addr = row[way]
-                victim_dirty = dirty2[s][way]
-                ev2[0] += 1
-                if victim_dirty:
-                    dev2[0] += 1
-                occ2[0] -= 1
-                del lookup2[victim_addr]
-            row[way] = addr
-            lookup2[addr] = way
-            dirty2[s][way] = dirty
-            reused2[s][way] = False
-            occ2[0] += 1
-            fl2[0] += 1
-            rrpv2[s][way] = insertion
-            return victim_addr, victim_dirty
-
-        def l1_victim_to_l2(addr, now):
-            """A dirty L1 victim arrives at the private L2 (inlined DRRIP)."""
-            s = addr & mask2
-            way = l2_get(addr, -1)
-            wba2[0] += 1
-            if way >= 0:
-                oh2[0] += 1
-                dirty2[s][way] = True
-                # Non-demand hit: no RRPV promotion.
-                return
-            om2[0] += 1
-            # DRRIP for non-demand traffic: no PSEL movement, distant
-            # insertion, no ticker draw.
-            victim_addr, victim_dirty = l2_fill(addr, s, maxr2, True)
-            if victim_dirty:
-                wb_to_llc(victim_addr, now)
-
-        def fetch_nondemand(addr, pc, now):
-            """L2 and below for a non-demand (prefetch) fill.
-
-            Mirrors the demand path of :func:`fetch_below` minus recency
-            promotion, PSEL movement, prefetcher training and interval
-            accounting — prefetches are non-demand end to end (paper
-            footnote 4) and never stall the core, so the completion time
-            is discarded.
-            """
-            nonlocal arb_reqs, arb_throt, bank_accs, bank_confs
-            nonlocal mshr_merged, mshr_stalls
-            nonlocal dram_reads, dram_rowhits, dram_rowconf
-            t_l2 = now + l1_latency
-            s = addr & mask2
-            way = l2_get(addr, -1)
-            if way >= 0:
-                # Non-demand hit: no RRPV promotion, no reuse marking.
-                oh2[0] += 1
-                return
-            om2[0] += 1
-            # DRRIP for non-demand traffic: no PSEL movement, distant
-            # insertion, no ticker draw.
-            victim_addr, victim_dirty = l2_fill(addr, s, maxr2, False)
-            if victim_dirty:
-                wb_to_llc(victim_addr, t_l2)
-
-            # The prefetch request travels through the VPC arbiter too.
-            t_in = t_l2 + l2_latency
-            arb_reqs += 1
-            vclock = arb_virtual[cid]
-            start = t_in
-            earliest = vclock - arb_window
-            if earliest > t_in:
-                start = earliest
-                arb_throt += 1
-            base = vclock if vclock > start else start
-            arb_virtual[cid] = base + arb_cost
-
-            # LLC non-demand read (content first, bank timing second).
-            s = addr & llc_mask
-            way = llc_get(addr, -1)
-            llc_hit = way >= 0
-            victim_addr = -1
-            victim_dirty = False
-            if llc_hit:
-                llc_oh[cid] += 1
-                if hit_mode == _CALL:
-                    # Family defaults ignore non-demand hits; overridden
-                    # hooks must still see them.
-                    p_on_hit(s, way, cid, False, addr)
-            else:
-                llc_om[cid] += 1
-                if call_on_miss:
-                    p_on_miss(s, cid, False)
-                decision = p_decide(s, cid, pc, addr, False)
-                if decision is BYPASS:
-                    llc_by[cid] += 1
-                else:
-                    victim_addr, victim_dirty = llc_fill(
-                        addr, s, pc, decision, False, False
-                    )
-            bank = (addr & bank_mask) ^ ((addr >> 8) & bank_mask)
-            bstart = bank_free[bank]
-            if bstart > start:
-                bank_confs += 1
-            else:
-                bstart = start
-            bank_free[bank] = bstart + bank_occ
-            bank_accs += 1
-            t_bank = bstart + bank_lat
-            if llc_hit:
-                return
-            if victim_dirty:
-                wb_to_dram(victim_addr, t_bank)
-
-            # LLC miss: fill from DRAM through the MSHR (same inline
-            # sequence as the demand path).
-            t_dram = t_bank
-            if mshr is not None:
-                done = msh_get(addr)
-                if done is not None and done > t_bank:
-                    mshr_merged += 1
-                    return
-                while msh_heap and msh_heap[0] <= t_dram:
-                    heappop(msh_heap)
-                if not msh_heap:
-                    msh_by.clear()
-                elif len(msh_by) > 2 * len(msh_heap):
-                    keep = {blk: tt for blk, tt in msh_by.items() if tt > t_dram}
-                    msh_by.clear()
-                    msh_by.update(keep)
-                if len(msh_heap) >= msh_entries:
-                    t_dram = msh_heap[0]
-                    mshr_stalls += 1
-                    while msh_heap and msh_heap[0] <= t_dram:
-                        heappop(msh_heap)
-                    if not msh_heap:
-                        msh_by.clear()
-                    elif len(msh_by) > 2 * len(msh_heap):
-                        keep = {
-                            blk: tt for blk, tt in msh_by.items() if tt > t_dram
-                        }
-                        msh_by.clear()
-                        msh_by.update(keep)
-            dram_reads += 1
-            dram_row = addr // dram_bpr
-            bank = (dram_row & dram_mask) ^ ((dram_row >> 8) & dram_mask)
-            dstart = dram_busy[bank]
-            if dstart < t_dram:
-                dstart = t_dram
-            if dram_open[bank] == dram_row:
-                latency = dram_hit
-                dram_rowhits += 1
-            else:
-                latency = dram_conf
-                dram_rowconf += 1
-                dram_open[bank] = dram_row
-            dram_busy[bank] = dstart + dram_occ
-            done = dstart + latency
-            if mshr is not None:
-                heappush(msh_heap, done)
-                msh_by[addr] = done
-
-        def fetch_below(addr, pc, now):
-            """L2 and below for a demand access.
-
-            Returns ``(completion_time, llc_demand_miss)``.
-            """
-            nonlocal psel_val, tick_cnt, arb_reqs, arb_throt
-            nonlocal bank_accs, bank_confs, mshr_merged, mshr_stalls
-            nonlocal dram_reads, dram_rowhits, dram_rowconf
-            nonlocal prefetches_issued
-            t_l2 = now + l1_latency
-            s = addr & mask2
-            way = l2_get(addr, -1)
-            if way >= 0:
-                dh2[0] += 1
-                reused2[s][way] = True
-                rrpv2[s][way] = 0  # demand-hit promotion
-                return t_l2 + l2_latency, False
-            dm2[0] += 1
-            # DRRIP on_miss: leader-set misses move the PSEL (before
-            # decide_insertion reads it).
-            leader = roles_get(s, -1)
-            if leader == 0:  # SRRIP leader missed
-                value = psel_val + 1
-                psel_val = value if value <= psel_max else psel_max
-            elif leader == 1:  # BRRIP leader missed
-                value = psel_val - 1
-                psel_val = value if value >= 0 else 0
-            # DRRIP decide_insertion (demand).
-            if leader == 0:
-                insertion = maxr2 - 1
-            elif leader == 1 or psel_val >= psel_thr:
-                fired = tick_cnt == tick_phase
-                tick_cnt += 1
-                if tick_cnt == tick_den:
-                    tick_cnt = 0
-                insertion = maxr2 - 1 if fired else maxr2
-            else:
-                insertion = maxr2 - 1
-            victim_addr, victim_dirty = l2_fill(addr, s, insertion, False)
-            if victim_dirty:
-                wb_to_llc(victim_addr, t_l2)
-
-            if pf2_train is not None:
-                # Stride prefetcher trains on L2 demand misses and fills
-                # the L2 with non-demand traffic (footnote 4 semantics).
-                for pfa in pf2_train(pc, addr):
-                    if pfa >= 0 and pfa not in lookup2:
-                        prefetches_issued += 1
-                        fetch_nondemand(pfa, pc, now)
-
-            # L2 miss: the request travels through the VPC arbiter.
-            t_in = t_l2 + l2_latency
-            arb_reqs += 1
-            vclock = arb_virtual[cid]
-            start = t_in
-            earliest = vclock - arb_window
-            if earliest > t_in:
-                start = earliest
-                arb_throt += 1
-            base = vclock if vclock > start else start
-            arb_virtual[cid] = base + arb_cost
-
-            # LLC demand read (content first, bank timing second).
-            s = addr & llc_mask
-            way = llc_get(addr, -1)
-            llc_hit = way >= 0
-            victim_addr = -1
-            victim_dirty = False
-            if llc_hit:
-                llc_dh[cid] += 1
-                llc_reused[s][way] = True
-                if hit_mode == _RRIP:
-                    rows3[s][way] = 0
-                elif hit_mode == _SHIP:
-                    # Promotion plus signature training: every demand
-                    # re-reference sets the outcome bit and bumps the SHCT.
-                    rows3[s][way] = 0
-                    out3[s][way] = True
-                    sg = sig3[s][way]
-                    v = shct3[sg]
-                    if v < shct_max3:
-                        shct3[sg] = v + 1
-                elif hit_mode == _ADAPT:
-                    # Promotion plus the Footprint monitor tap (sampled
-                    # sets only; the dict miss is the common case).
-                    rows3[s][way] = 0
-                    ai = mon_get(s)
-                    if ai is not None:
-                        smp3.samples += 1
-                        mon_arrays[ai].observe(addr // llc_sets)
-                elif hit_mode == _STACK:
-                    st = nmru3[s]
-                    rows3[s][way] = st
-                    nmru3[s] = st + 1
-                else:
-                    p_on_hit(s, way, cid, True, addr)
-            else:
-                llc_dm[cid] += 1
-                if d_psel is not None:
-                    # Inline duelling on_miss: leader-set demand misses
-                    # move this thread's PSEL (saturating both ways).
-                    role = d_get(s, -1)
-                    if role == 0:
-                        v = d_psel.value + 1
-                        if v <= d_max:
-                            d_psel.value = v
-                    elif role == 1:
-                        v = d_psel.value - 1
-                        if v >= 0:
-                            d_psel.value = v
-                elif call_on_miss:
-                    p_on_miss(s, cid, True)
-                decision = p_decide(s, cid, pc, addr, True)
-                if decision is BYPASS:
-                    llc_by[cid] += 1
-                else:
-                    victim_addr, victim_dirty = llc_fill(
-                        addr, s, pc, decision, False, True
-                    )
-            bank = (addr & bank_mask) ^ ((addr >> 8) & bank_mask)
-            bstart = bank_free[bank]
-            if bstart > start:
-                bank_confs += 1
-            else:
-                bstart = start
-            bank_free[bank] = bstart + bank_occ
-            bank_accs += 1
-            t_bank = bstart + bank_lat
-            if llc_hit:
-                return t_bank, False
-            if victim_dirty:
-                wb_to_dram(victim_addr, t_bank)
-
-            # LLC miss: fill from DRAM through the MSHR (inlined; the dict
-            # shrink is done in place so the bound ``get`` stays valid).
-            t_dram = t_bank
-            if mshr is not None:
-                done = msh_get(addr)
-                if done is not None and done > t_bank:
-                    mshr_merged += 1
-                    return done, True
-                # reserve(): expire completed entries, then back-pressure.
-                while msh_heap and msh_heap[0] <= t_dram:
-                    heappop(msh_heap)
-                if not msh_heap:
-                    msh_by.clear()
-                elif len(msh_by) > 2 * len(msh_heap):
-                    keep = {blk: tt for blk, tt in msh_by.items() if tt > t_dram}
-                    msh_by.clear()
-                    msh_by.update(keep)
-                if len(msh_heap) >= msh_entries:
-                    t_dram = msh_heap[0]
-                    mshr_stalls += 1
-                    while msh_heap and msh_heap[0] <= t_dram:
-                        heappop(msh_heap)
-                    if not msh_heap:
-                        msh_by.clear()
-                    elif len(msh_by) > 2 * len(msh_heap):
-                        keep = {
-                            blk: tt for blk, tt in msh_by.items() if tt > t_dram
-                        }
-                        msh_by.clear()
-                        msh_by.update(keep)
-            dram_reads += 1
-            dram_row = addr // dram_bpr
-            bank = (dram_row & dram_mask) ^ ((dram_row >> 8) & dram_mask)
-            dstart = dram_busy[bank]
-            if dstart < t_dram:
-                dstart = t_dram
-            if dram_open[bank] == dram_row:
-                latency = dram_hit
-                dram_rowhits += 1
-            else:
-                latency = dram_conf
-                dram_rowconf += 1
-                dram_open[bank] = dram_row
-            dram_busy[bank] = dstart + dram_occ
-            done = dstart + latency
-            if mshr is not None:
-                heappush(msh_heap, done)
-                msh_by[addr] = done
-            return done, True
-
-        return fetch_below, l1_victim_to_l2, fetch_nondemand, sync_core
-
-    fetch_below_for = [None] * n
-    l1_victim_for = [None] * n
-    fetch_nd_for = [None] * n
-    core_syncs = [None] * n
-    for cid in range(n):
-        (
-            fetch_below_for[cid],
-            l1_victim_for[cid],
-            fetch_nd_for[cid],
-            core_syncs[cid],
-        ) = compile_core(cid)
-
-    # -- L1 state (plain LRU, single-core stats), packed per core -----------
-    # Hit tuple: (mask, lookup.get, dh, reused, dirty, stamp, next_mru)
-    # Miss tuple: (lookup, valid, rows, occ, dm, om, ev, dev, fl)
-    l1_hit_state = []
-    l1_miss_state = []
-    for c in l1s:
-        lookup, valid = _residency(c)
-        st = c.stats
-        l1_hit_state.append(
-            (
-                c.set_mask,
-                lookup.get,
-                st.demand_hits,
-                c.reused,
-                c.dirty,
-                c.policy._stamp,
-                c.policy._next_mru,
-            )
-        )
-        l1_miss_state.append(
-            (
-                lookup,
-                valid,
-                c.addrs,
-                c.occupancy,
-                st.demand_misses,
-                st.other_misses,
-                st.evictions,
-                st.dirty_evictions,
-                st.fills,
-            )
-        )
-
-    # -- the fused engine loop ----------------------------------------------
-
-    interval = engine.interval_misses // engine.first_interval_divisor
-    full_interval = engine.interval_misses
-    warmup = engine.warmup_accesses
-    no_warmup = warmup == 0
-    baselines = engine._baselines
-    remaining = n
-    warming = n if warmup > 0 else 0
-    if no_warmup:
-        for core in cores:
-            engine._record_baseline(core, 0.0)
-    miss_clock = engine._miss_clock
-    intervals_completed = engine.intervals_completed
-
-    accesses = [c.accesses for c in cores]
-    instructions = [c.instructions for c in cores]
-    ipa = [c.instructions_per_access for c in cores]
-    compute = [c.compute_cycles_per_access for c in cores]
-    inv_mlp = [c.inverse_mlp for c in cores]
-    finished = [c.finished for c in cores]
-    # Completion thresholds; re-derived when a warm-up baseline is recorded.
-    thresholds = [c.quota + baselines[i].accesses for i, c in enumerate(cores)]
-
-    t_addrs: list = [None] * n
-    t_sets: list = [None] * n
-    t_pcs: list = [None] * n
-    t_writes: list = [None] * n
-    t_pos = [0] * n
-    t_len = [0] * n
-    for i, src in enumerate(sources):
-        t_addrs[i], t_sets[i], t_pcs[i], t_writes[i], t_pos[i] = _decode_chunk(
-            src, l1s[i].set_mask
-        )
-        t_len[i] = len(t_addrs[i])
-
-    heap: list[tuple[float, int]] = [(0.0, c.core_id) for c in cores]
-    t, cid = heappop(heap)
-    done_all = False
-
-    # Two-level loop: the outer level (re)binds one core's state into plain
-    # locals; the inner level then processes that core's events back to back
-    # for as long as it remains the earliest-ready core.  Nothing is pushed
-    # onto the heap during such a burst, so the head comparison is cheap and
-    # exactly equivalent to the generic pop/push sequence.
-    try:
-        while not done_all:
-            mask1, get1, dh1, reused1, dirty1, stamp1, nmru1 = l1_hit_state[cid]
-            comp_c = compute[cid]
-            ipa_c = ipa[cid]
-            imlp_c = inv_mlp[cid]
-            fetch_c = fetch_below_for[cid]
-            l1v_c = l1_victim_for[cid]
-            fetch_nd_c = fetch_nd_for[cid]
-            bhits = 0  # L1 hits accumulated locally, flushed at sync points
-            buf_a = t_addrs[cid]
-            buf_s = t_sets[cid]
-            buf_p = t_pcs[cid]
-            buf_w = t_writes[cid]
-            pos = t_pos[cid]
-            length = t_len[cid]
-            count = accesses[cid]
-            instr = instructions[cid]
-            threshold_c = thresholds[cid]
-            fin_c = finished[cid]
-
-            while True:
-                if pos >= length:
-                    src = sources[cid]
-                    src.commit(pos)
-                    buf_a, buf_s, buf_p, buf_w, pos = _decode_chunk(src, mask1)
-                    t_addrs[cid] = buf_a
-                    t_sets[cid] = buf_s
-                    t_pcs[cid] = buf_p
-                    t_writes[cid] = buf_w
-                    length = len(buf_a)
-                    t_len[cid] = length
-                addr = buf_a[pos]
-
-                # L1 access (demand): inlined single-core LRU.
-                way = get1(addr, -1)
-                if way >= 0:
-                    bhits += 1
-                    s = buf_s[pos]
-                    reused1[s][way] = True
-                    if buf_w[pos]:
-                        dirty1[s][way] = True
-                    stamp = nmru1[s]
-                    stamp1[s][way] = stamp
-                    nmru1[s] = stamp + 1
-                    pos += 1
-                    count += 1
-                    instr += ipa_c
-                    next_t = t + comp_c
-                else:
-                    s = buf_s[pos]
-                    is_write = buf_w[pos]
-                    (
-                        lookup1,
-                        valid1,
-                        rows1,
-                        occ1,
-                        dm1,
-                        om1,
-                        ev1,
-                        dev1,
-                        fl1,
-                    ) = l1_miss_state[cid]
-                    dm1[0] += 1
-                    # LruPolicy never bypasses; insertion is always MRU.
-                    victim_addr = -1
-                    victim_dirty = False
-                    row = rows1[s]
-                    if valid1[s] < len(row):
-                        way = row.index(-1)
-                        valid1[s] += 1
-                    else:
-                        srow = stamp1[s]
-                        way = srow.index(min(srow))
-                        victim_addr = row[way]
-                        victim_dirty = dirty1[s][way]
-                        ev1[0] += 1
-                        if victim_dirty:
-                            dev1[0] += 1
-                        occ1[0] -= 1
-                        del lookup1[victim_addr]
-                    row[way] = addr
-                    lookup1[addr] = way
-                    dirty1[s][way] = is_write
-                    reused1[s][way] = False
-                    occ1[0] += 1
-                    fl1[0] += 1
-                    stamp = nmru1[s]
-                    stamp1[s][way] = stamp
-                    nmru1[s] = stamp + 1
-                    if victim_dirty:
-                        l1v_c(victim_addr, t)
-                    done, llc_demand_miss = fetch_c(addr, buf_p[pos], t)
-                    if l1_pf:
-                        # Next-line prefetch into L1 (Table 3): issued on
-                        # every demand L1 miss, non-demand all the way
-                        # down, never stalls the core.
-                        pfa = addr + 1
-                        if pfa not in lookup1:
-                            prefetches_issued += 1
-                            om1[0] += 1
-                            victim_addr = -1
-                            victim_dirty = False
-                            s = pfa & mask1
-                            row = rows1[s]
-                            if valid1[s] < len(row):
-                                way = row.index(-1)
-                                valid1[s] += 1
-                            else:
-                                srow = stamp1[s]
-                                way = srow.index(min(srow))
-                                victim_addr = row[way]
-                                victim_dirty = dirty1[s][way]
-                                ev1[0] += 1
-                                if victim_dirty:
-                                    dev1[0] += 1
-                                occ1[0] -= 1
-                                del lookup1[victim_addr]
-                            row[way] = pfa
-                            lookup1[pfa] = way
-                            dirty1[s][way] = False
-                            reused1[s][way] = False
-                            occ1[0] += 1
-                            fl1[0] += 1
-                            stamp = nmru1[s]
-                            stamp1[s][way] = stamp
-                            nmru1[s] = stamp + 1
-                            if victim_dirty:
-                                l1v_c(victim_addr, t)
-                            fetch_nd_c(pfa, buf_p[pos], t)
-                    pos += 1
-                    count += 1
-                    instr += ipa_c
-                    latency = done - t
-                    stall = latency - l1_latency
-                    if stall < 0.0:
-                        stall = 0.0
-                    next_t = t + comp_c + stall * imlp_c
-
-                    if llc_demand_miss:
-                        miss_clock += 1
-                        if miss_clock >= interval:
-                            end_interval()
-                            miss_clock = 0
-                            intervals_completed += 1
-                            interval = full_interval
-
-                if warming and count == warmup:
-                    if bhits:
-                        dh1[0] += bhits
-                        bhits = 0
-                    core = cores[cid]
-                    core.accesses = accesses[cid] = count
-                    core.instructions = instructions[cid] = instr
-                    engine._record_baseline(core, next_t)
-                    threshold_c = thresholds[cid] = (
-                        core.quota + baselines[cid].accesses
-                    )
-                    warming -= 1
-
-                if (
-                    count >= threshold_c
-                    and not fin_c
-                    and (no_warmup or count > warmup)
-                ):
-                    if bhits:
-                        dh1[0] += bhits
-                        bhits = 0
-                    fin_c = finished[cid] = True
-                    core = cores[cid]
-                    core.accesses = accesses[cid] = count
-                    core.instructions = instructions[cid] = instr
-                    core.finished = True
-                    core.snapshot = engine._take_snapshot(core, next_t)
-                    remaining -= 1
-                    if remaining == 0:
-                        engine.now = next_t
-                        t_pos[cid] = pos
-                        done_all = True
-                        break
-
-                # Keep running this core while its next event is still the
-                # earliest — equivalent to heappushpop returning our item.
-                if heap:
-                    head = heap[0]
-                    head_t = head[0]
-                    if next_t < head_t or (next_t == head_t and cid < head[1]):
-                        t = next_t
-                        continue
-                    accesses[cid] = count
-                    instructions[cid] = instr
-                    t_pos[cid] = pos
-                    if bhits:
-                        dh1[0] += bhits
-                    t, cid = heappushpop(heap, (next_t, cid))
-                    break
-                t = next_t
-    finally:
-        # Write the loop-local state back so the engine, cores, sources and
-        # timing models are indistinguishable from a generic-path run.
-        for i, core in enumerate(cores):
-            core.accesses = accesses[i]
-            core.instructions = instructions[i]
-            sources[i].commit(t_pos[i])
-        engine._miss_clock = miss_clock
-        engine.intervals_completed = intervals_completed
-        h.prefetches_issued = prefetches_issued
-        dram.reads = dram_reads
-        dram.writes = dram_writes
-        dram.row_hits = dram_rowhits
-        dram.row_conflicts = dram_rowconf
-        banks.accesses = bank_accs
-        banks.conflicts = bank_confs
-        arb.requests = arb_reqs
-        arb.throttled = arb_throt
-        if mshr is not None:
-            mshr.merged = mshr_merged
-            mshr.stalls = mshr_stalls
-        if llc_wb is not None:
-            llc_wb.stalls = wb3_stalls
-            llc_wb.admitted = wb3_admitted
-            llc_wb._last_retire = wb3_last
-        for sync in core_syncs:
-            sync()
-
-    engine.now = max(engine.now, max(c.snapshot.cycles for c in cores))
-    return [c.snapshot for c in cores]
+    if bundle is not None:
+        snapshots = replay.run_replay(engine, bundle, finalize=finalize)
+        if snapshots is not None:
+            return snapshots
+    args = capture.capture_args(engine)
+    if args is None:
+        return None
+    return replay.run_replay(engine, capture.capture_workload(*args), finalize=finalize)

@@ -1,39 +1,36 @@
 """LLC-filtered replay kernel: sweep policies at LLC speed.
 
-The second tier of the fast-path family.  A policy sweep runs the *same*
-(workload, platform, seed) once per policy; the fused kernel
-(:mod:`repro.cpu.fastpath`) re-simulates the identical private-level
-behaviour every time.  This kernel instead consumes a capture bundle
-(:mod:`repro.cpu.capture`) — per-core step streams, LLC-bound event
-streams and private-state checkpoints recorded once — and simulates only:
+The fast half of the engine's two kernels.  Because the hierarchy is
+non-inclusive, the private levels behave identically under every LLC
+policy; this kernel consumes a capture bundle (:mod:`repro.cpu.capture`)
+— per-core step streams, LLC-bound event streams and private-state
+checkpoints recorded once — and simulates only:
 
-* the shared LLC (any policy, through the same
-  :class:`~repro.cpu.fastpath.LlcDispatch` inline plan as the fused
-  kernel), the bank/DRAM/arbiter/MSHR/write-back timing models, and
-* each core's clock: the fused kernel's exact floating-point recurrence
+* the shared LLC (any policy, through the
+  :class:`~repro.cpu.fastpath.LlcDispatch` inline plan), the
+  bank/DRAM/arbiter/MSHR/write-back timing models, and
+* each core's clock: the generic loop's exact floating-point recurrence
   re-executed over the recorded step codes, with the demand-fetch
   completion time feeding back into the stall term.
 
-Event-bearing accesses are merged across cores through the same
-``(time, core)`` scheduling order the fused burst heap produces, so every
-LLC mutation, PSEL/SHCT/monitor update, interval tick and timing-model
-counter lands in the identical order with identical timestamps — the two
-kernels are bit-for-bit equivalent, which the golden differential suite
-machine-checks.
+Event-bearing accesses are merged across cores in the generic loop's
+``(time, core)`` heap order, so every LLC mutation, PSEL/SHCT/monitor
+update, interval tick and timing-model counter lands in the identical
+order with identical timestamps — the two kernels are bit-for-bit
+equivalent, which the golden differential suite machine-checks.
 
-Eligibility mirrors the fused kernel (plain-LRU L1s, plain-DRRIP L2s,
-chunked trace sources) plus a bundle whose identity matches the engine;
-``run_replay`` returns ``None`` otherwise and the caller falls back.  A
-run replays exactly when its caller hands it a bundle
-(:func:`repro.sim.multi.run_workload`); ``REPRO_NO_FASTPATH`` pins the
-generic loop there too.
+Eligibility: plain-LRU L1s, plain-DRRIP L2s, chunked trace sources and a
+bundle whose identity matches the engine; ``run_replay`` returns ``None``
+otherwise.  :func:`repro.cpu.fastpath.run_fast` is its caller: it replays
+the bundle a policy sweep hands a run, and otherwise the run's own
+in-memory capture.
 
 When a run outlives a captured stream (heavy completion-time skew between
 co-runners) the affected core switches to live private-level continuation
 — bit-identical, just no longer amortised.  After the run, the engine's
 private caches, sources and prefetchers are reconstructed to the exact
 policy-dependent stop point from the nearest checkpoint, so the engine is
-indistinguishable from a fused-kernel run.
+indistinguishable from a generic-loop run.
 """
 
 from __future__ import annotations
@@ -103,7 +100,7 @@ def _eligible(engine, bundle) -> bool:
         if core.quota != meta["quota"] or core.accesses != 0:
             return False
         # Duck-typed sources (no chunked consumption / unknown identity)
-        # and mismatched trace identities run on the fused/generic path.
+        # and mismatched trace identities are not this bundle's run.
         if not hasattr(source, "next_chunk"):
             return False
         spec = getattr(source, "spec", None)
@@ -120,13 +117,13 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     """Run *engine* to completion by replaying a capture bundle.
 
     Returns the per-core snapshots, or ``None`` when the engine does not
-    match the bundle (the caller must then fall back to the fused or
-    generic kernel).
+    match the bundle (the caller must then capture the engine's own
+    workload or run the generic loop).
 
     With ``finalize`` (the default), the engine's private caches, sources
     and prefetchers are reconstructed to the exact policy-dependent stop
     point, so the whole engine ends bit-for-bit identical to a
-    fused-kernel run.  Sweep drivers that consume only the returned
+    generic-loop run.  Sweep drivers that consume only the returned
     snapshots (and the LLC-side state, which is always exact) pass
     ``finalize=False`` to skip that reconstruction — the private levels
     then simply keep their pristine pre-run state.
@@ -143,7 +140,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     warmup = meta["warmup"]
     finish_count = meta["quota"] + warmup
 
-    # -- LLC state (identical bindings to the fused kernel) -----------------
+    # -- LLC state (any policy; inline what the FastPathOps allow) ----------
     llc_mask = llc.set_mask
     llc_ways = llc.ways
     llc_lookup, llc_valid = cap._residency(llc)
@@ -187,7 +184,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     p_victim = policy.victim
     end_interval = policy.end_interval
 
-    # -- timing models (identical bindings to the fused kernel) -------------
+    # -- timing models ------------------------------------------------------
     l1_latency = h.l1_latency
     l2_latency = h.l2_latency
     banks = h.llc_banks
@@ -342,7 +339,12 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
                 wb2._last_retire = wb2_last
 
         def llc_fill(addr, s, pc, decision, is_write, is_demand):
-            """Identical to the fused kernel's ``llc_fill``."""
+            """Select a victim if needed and install *addr* in the LLC.
+
+            The single fill sequence both LLC miss flavours share (demand
+            reads and L2-victim write-backs); returns
+            ``(victim_addr, victim_dirty)``.
+            """
             victim_addr = -1
             victim_dirty = False
             row = llc_addrs[s]
@@ -425,7 +427,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             return victim_addr, victim_dirty
 
         def wb_to_llc(addr, now):
-            """Identical to the fused kernel's ``wb_to_llc``."""
+            """A dirty L2 victim arrives at the LLC (non-demand write)."""
             nonlocal wb2_stalls, wb2_admitted, wb2_last, bank_accs, bank_confs
             start = now
             if wb2 is not None:
@@ -711,31 +713,32 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
 
         # idx: next step to walk; t: issue time of access ``idx``; p: next
         # event-stream entry; e_cur: its access index, or -1 once p has run
-        # off the n_ev captured events.  The clock walk reproduces the fused
-        # kernel's per-access float recurrence op for op.  Each event field
+        # off the n_ev captured events.  The clock walk reproduces the
+        # generic loop's per-access float recurrence op for op.  Each event field
         # is read exactly once: the read that ends a group becomes e_cur.
         idx = 0
         t_clock = 0.0
         p = 0
         n_ev = len(ev_step)
         e_cur = ev_step[0] if n_ev else -1
-        chunk = meta["chunk"]
+        step = cap.EXTENSION_STEP
 
         def seek_event():
             """Walk the clock to the next event-bearing access.
 
-            Returns its issue time; extends the tape live (one chunk per
-            call) when the run has outgrown the captured stream.  A core
+            Returns its issue time; extends the tape live
+            (:data:`~repro.cpu.capture.EXTENSION_STEP` accesses per call)
+            when the run has outgrown the captured stream.  A core
             whose extension produced no event yet returns a *provisional*
             wake-up at the issue time of its first ungenerated access —
             a lower bound on any future event, so heap order is preserved
             and a core gone LLC-silent can never stall the other cores'
-            run to completion (each wake-up makes one chunk of progress).
+            run to completion (each wake-up makes one step of progress).
             """
             nonlocal idx, t_clock, e_cur, n_ev
             e = e_cur
             if e < 0:
-                cap.extend_tape(bundle, cid, chunk)
+                cap.extend_tape(bundle, cid, step)
                 n_ev = len(ev_step)
                 e = e_cur = ev_step[p] if p < n_ev else -1
                 if e < 0:
@@ -766,7 +769,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             e = e_cur
             if e < 0:
                 # Provisional wake-up: no event generated yet — extend by
-                # another chunk and reschedule.
+                # another step and reschedule.
                 return seek_event()
             code = steps[e]
             saw_baseline = False
@@ -866,7 +869,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             return seek_event()
 
         def cut_walk(t_f, cid_f):
-            """How many of this core's accesses the fused kernel would have
+            """How many of this core's accesses the generic loop would have
             processed before the run-ending access ``(t_f, cid_f)``."""
             i = resume_idx[cid]
             t = resume_t[cid]
@@ -894,8 +897,9 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         seekers[cid], processors[cid], cut_walks[cid], core_syncs[cid] = compile_core(cid)
 
     # -- the replay loop -----------------------------------------------------
-    # Like the fused kernel's burst heap: keep processing one core's event
-    # groups while its next event is still the earliest.
+    # A burst heap: keep processing one core's event groups while its next
+    # event is still the earliest — the order the generic loop's
+    # pop/push sequence produces.
     try:
         heap: list[tuple[float, int]] = []
         for cid in range(n):
@@ -925,8 +929,8 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
                         break
                     t = nxt
     finally:
-        # Write the loop-local timing/counter state back (same discipline
-        # as the fused kernel's ``finally`` block).
+        # Write the loop-local timing/counter state back, so the timing
+        # models end exactly as a generic-loop run leaves them.
         engine._miss_clock = miss_clock
         engine.intervals_completed = intervals_completed
         dram.reads = dram_reads

@@ -1,8 +1,9 @@
 """Golden-master harness: pin the simulation kernel's exact behaviour.
 
-The fused fast-path kernel (:mod:`repro.cpu.fastpath`) re-implements the
-per-access hot path for speed; its contract is that simulated behaviour is
-**bit-for-bit identical** to the generic reference loop.  This module
+The capture + replay kernel (:mod:`repro.cpu.capture`,
+:mod:`repro.cpu.replay`, entered through :func:`repro.cpu.fastpath.run_fast`)
+splits the per-access hot path for speed; its contract is that simulated
+behaviour is **bit-for-bit identical** to the generic reference loop.  This module
 machine-checks that contract two ways:
 
 * **Committed fixtures** — :func:`run_case` executes one small,
@@ -16,7 +17,7 @@ machine-checks that contract two ways:
   drawn is caught, not just in what it produced).  ``tests/golden``
   asserts today's kernel reproduces the committed records exactly.
 * **Differential runs** — the same case executed on both kernels
-  (``force_generic=True`` vs the fast path) must produce equal records.
+  (``force_generic=True`` vs capture + replay) must produce equal records.
 
 Regenerate fixtures after an *intentional* behaviour change with::
 
@@ -129,9 +130,11 @@ def run_case(
     """Execute one golden case and return its exhaustive observation record.
 
     ``kernel`` selects the engine under test: ``"fast"`` (default, the
-    fused loop), ``"generic"`` (the reference loop; ``force_generic`` is
-    the legacy spelling) or ``"replay"`` (capture the private-level
-    streams, then run the LLC-filtered replay kernel).  Every value is
+    engine's fast entry point: it captures its own workload in memory and
+    replays it), ``"generic"`` (the reference loop; ``force_generic`` is
+    the legacy spelling) or ``"replay"`` (capture the configured
+    workload with an independent source set, then run the LLC-filtered
+    replay kernel on it).  Every value is
     JSON-safe and round-trips exactly (floats serialise via
     ``repr`` and compare bit-for-bit after a load).
     """
@@ -167,7 +170,7 @@ def run_case(
         if snapshots is None:
             raise RuntimeError("golden platform must be replay eligible")
     else:
-        # Drive the fused kernel directly — bypassing the REPRO_NO_FASTPATH
+        # Drive the fast kernel directly — bypassing the REPRO_NO_FASTPATH
         # kill switch — so the "fast" record always exercises the fast path
         # (otherwise the differential would compare generic to generic).
         snapshots = fastpath.run_fast(engine)

@@ -51,7 +51,8 @@ BYPASS: Any = object()
 class FastPathOps:
     """Narrow fast-path protocol: preallocated per-set replacement metadata.
 
-    The fused simulation kernel (:mod:`repro.cpu.fastpath`) asks each policy
+    The replay kernel (:mod:`repro.cpu.replay`, through
+    :func:`repro.cpu.fastpath.resolve_llc_dispatch`) asks each LLC policy
     for its :class:`FastPathOps` via :meth:`ReplacementPolicy.fast_ops`.  A
     policy that opts in exposes the *same* per-set integer arrays its object
     API mutates, plus flags saying which of the hot hooks (demand-hit
@@ -231,7 +232,7 @@ class ReplacementPolicy:
     # -- fast-path protocol ------------------------------------------------
 
     def fast_ops(self) -> FastPathOps | None:
-        """Metadata arrays for the fused kernel, or ``None`` to opt out.
+        """Metadata arrays for the replay kernel, or ``None`` to opt out.
 
         Only valid after :meth:`bind`.  The default is to opt out, which
         makes the kernel drive this policy through the five hooks above —

@@ -30,8 +30,9 @@ policy roster, workload slots, platforms, seeds, budgets — so two
 snapshots are comparable iff their hashes match; metric values and the
 machine-dependent ``kernel`` section are deliberately *not* hashed.  The
 ``kernel`` section mirrors ``benchmarks/bench_kernel_throughput.py``'s
-headline ``hot_loop`` scenario (fast-kernel accesses/second), giving the
-trajectory a speed axis next to the accuracy axis.
+headline ``hot_loop`` scenario (accesses/second of the default kernel,
+capture + replay), giving the trajectory a speed axis next to the
+accuracy axis.
 """
 
 from __future__ import annotations
@@ -62,11 +63,14 @@ def config_hash(report: TournamentReport) -> str:
 
 
 def measure_kernel_throughput(repeats: int = 2) -> dict:
-    """Fast-kernel accesses/second on the bench's ``hot_loop`` scenario.
+    """Default-kernel accesses/second on the bench's ``hot_loop`` scenario.
 
     One core running the L1-resident ``calc`` application — the scenario
     ``bench_kernel_throughput.py`` uses as its headline kernel-dispatch
-    cost.  Best-of-*repeats* wall-clock, exactly like the bench.
+    cost.  ``MulticoreEngine.run`` picks the kernel, so the timing covers
+    the in-memory capture plus its replay (or the generic loop under
+    ``REPRO_NO_FASTPATH``).  Best-of-*repeats* wall-clock, exactly like
+    the bench.
     """
     from repro.cpu.engine import MulticoreEngine
     from repro.sim.build import build_hierarchy, build_sources

@@ -114,7 +114,7 @@ class WorkloadJob:
 
         The parallel runner passes the path only once the sweep's capture
         job has succeeded; a damaged artifact loads as ``None`` and the
-        run falls back to the fused kernel.
+        run captures its own workload in memory instead.
         """
         from repro.runner.replaystore import cached_bundle
         from repro.sim.multi import run_workload

@@ -51,11 +51,17 @@ from repro.runner.store import ResultStore
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
 
 
-#: What executing a job imports: the run functions and, through them, every
-#: kernel.  The parent loads it before a batch with misses runs, so the
-#: pool workers forked for each batch inherit it instead of each
-#: importing it again; a batch served wholly from the store never loads it.
-_EXECUTION_STACK = ("repro.sim.multi", "repro.sim.single", "repro.core.monitor")
+#: What executing a job imports: the run functions, and the replay kernel
+#: (with the capture pass) that the engine imports only when it first runs.
+#: The parent loads it before a batch with misses runs, so the pool workers
+#: forked for each batch inherit it instead of each importing it again; a
+#: batch served wholly from the store never loads it.
+_EXECUTION_STACK = (
+    "repro.sim.multi",
+    "repro.sim.single",
+    "repro.core.monitor",
+    "repro.cpu.replay",
+)
 
 
 def default_jobs() -> int:
@@ -83,7 +89,8 @@ def _execute_task(task: tuple[str, tuple]) -> object:
     One pool serves both job families, so a worker alternates freely
     between captures and sims as the dependency-edged queue drains.  A
     capture that raises fails like any other job: the supervisor retries
-    it, and quarantining it sends its sweep to the fused kernel.  A sim
+    it, and quarantining it leaves each of its sweep's runs to capture its
+    own workload in memory.  A sim
     task carries its own sweep's artifact path, or ``None``; bundles are
     cached per path, so a worker loads each artifact once per sweep.  The
     job's cache key and attempt number ride along too, for the
@@ -345,7 +352,7 @@ class ParallelRunner:
         until the capture's outcome lands — and unrelated jobs flow
         freely around a slow (or hung, or crashed) capture.  A swept job
         is then handed its sweep's artifact path if the capture
-        succeeded, and ``None`` (the fused kernel) if it was quarantined;
+        succeeded, and ``None`` (an in-memory capture) if it was quarantined;
         inline and pool execution take the same route.  Capture outcomes
         never surface to the caller; only sim outcomes are yielded.
         """

@@ -27,8 +27,8 @@ The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 3. :meth:`repro.runner.jobs.WorkloadJob.execute` loads the path through
    :func:`cached_bundle` (a small per-process LRU, so a worker loads each
    artifact once per sweep) and hands the bundle to
-   :func:`repro.sim.multi.run_workload`, which replays it or falls back
-   to the fused loop;
+   :func:`repro.sim.multi.run_workload`, which replays it or, when it
+   does not match, captures the run's own workload in memory;
 4. files persist and are reused content-addressed by later invocations.
 
 Results are bit-identical whichever kernel runs a job.
@@ -253,7 +253,7 @@ def cached_bundle(path: str | Path) -> CaptureBundle | None:
 
     Loads the artifact on first use and caches it per path; an unreadable
     or damaged file caches as a permanent miss, so the affected jobs
-    simply run on the fused kernel.
+    simply capture their own workloads in memory.
     """
     path = str(path)
     if path not in _BUNDLES:

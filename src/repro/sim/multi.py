@@ -8,10 +8,8 @@ expressed by passing a pre-built policy instance.
 
 from __future__ import annotations
 
-from repro.cpu import replay
 from repro.cpu.capture import CaptureBundle
 from repro.cpu.engine import MulticoreEngine
-from repro.cpu.fastpath import fastpath_enabled
 from repro.policies.spec import policy_key
 from repro.sim.build import PolicyLike, build_hierarchy, build_sources
 from repro.sim.config import SystemConfig
@@ -32,12 +30,11 @@ def run_workload(
     """Run *workload* under *policy*; every core measured over *quota* accesses.
 
     *bundle* is the private-level capture the parallel runner hands each
-    job of a policy sweep.  With one, the engine is driven through the
-    LLC-filtered replay kernel instead of re-simulating the private
-    levels — results are bit-identical; only the returned snapshots and
-    the LLC-side state are materialised (the discarded private-cache end
-    state is not reconstructed).  A bundle that does not match the run,
-    or ``REPRO_NO_FASTPATH``, falls back to :meth:`MulticoreEngine.run`.
+    job of a policy sweep; :meth:`MulticoreEngine.run` replays it when it
+    matches the run and otherwise captures the run's own workload (see
+    there).  Results are bit-identical on every route.  Only the returned
+    snapshots and the LLC-side state are read, so the discarded
+    private-cache end state is not reconstructed (``finalize=False``).
     """
     if workload.cores != config.num_cores:
         config = config.with_cores(workload.cores)
@@ -50,11 +47,7 @@ def run_workload(
         interval_misses=config.effective_interval,
         warmup_accesses=warmup,
     )
-    snapshots = None
-    if bundle is not None and fastpath_enabled():
-        snapshots = replay.run_replay(engine, bundle, finalize=False)
-    if snapshots is None:
-        snapshots = engine.run()
+    snapshots = engine.run(bundle=bundle, finalize=False)
     return WorkloadResult(
         workload_name=workload.name,
         benchmarks=workload.benchmarks,

@@ -67,7 +67,9 @@ def run_alone(
         interval_misses=solo_config.effective_interval,
         warmup_accesses=warmup,
     )
-    snapshots = engine.run()
+    # Snapshots, monitors and the LLC policy are all that is read, so the
+    # private levels' end state is not reconstructed.
+    snapshots = engine.run(finalize=False)
     footprints: dict[str, float] = {}
     if monitored is not None:
         footprints = {

@@ -249,8 +249,8 @@ class IngestedTraceSource:
     Implements the full source contract the kernels consume —
     ``next_access``/``next_chunk``/``commit``/``restart`` plus the
     ``instructions_per_access`` and ``spec.base_cpi``/``spec.mlp`` core
-    parameters — against a read-only memory map, so the generic, fused,
-    capture and replay kernels all run unchanged with zero re-parsing.
+    parameters — against a read-only memory map, so the generic loop and
+    the capture and replay kernels all run unchanged with zero re-parsing.
     The stream cycles when a run consumes more than the buffer holds
     (deterministically, and at the same chunk boundaries on every path,
     which keeps the kernels bit-identical to each other).

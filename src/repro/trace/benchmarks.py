@@ -275,8 +275,8 @@ class TraceSource:
         """Generate the next CHUNK of ``(addrs, pcs, writes)`` arrays.
 
         Advances the generator/pattern/echo state exactly one chunk.
-        Buffers stay NumPy end-to-end: chunked consumers (the fused and
-        replay kernels) pre-decode them with vectorised operations, and
+        Buffers stay NumPy end-to-end: chunked consumers (the capture
+        pass) pre-decode them with vectorised operations, and
         the one-at-a-time path converts to native scalars per access.
         """
         n = self.CHUNK
@@ -349,12 +349,12 @@ class TraceSource:
         # use arbitrary-precision Python ints).
         return int(self._addrs[pos]), int(self._pcs[pos]), bool(self._writes[pos])
 
-    # -- batched consumption (fast-path engine) -------------------------------
+    # -- batched consumption (capture pass) -----------------------------------
 
     def next_chunk(self) -> tuple:
         """Current ``(addrs, pcs, writes, position)`` NumPy buffers.
 
-        The fused engine loop (:mod:`repro.cpu.fastpath`) pre-decodes these
+        The capture pass (:mod:`repro.cpu.capture`) pre-decodes these
         arrays once per chunk (vectorised set-index masks, native-type
         conversion) — one Python call per ``CHUNK`` accesses instead of
         one :meth:`next_access` call per access.  Consumers own the read

@@ -3,7 +3,7 @@
 * **sweep routing** — every golden case, run through
   :meth:`repro.runner.jobs.WorkloadJob.execute` handed a
   store-materialised artifact (the path a policy sweep takes, replaying
-  with ``finalize=False``), returns exactly the fused kernel's result;
+  with ``finalize=False``), returns exactly the generic loop's result;
 * **capture slack** — a lean capture (every overrun served by live-tail
   continuation) and a generous one both drive the replay kernel to the
   committed golden fixtures;
@@ -11,6 +11,10 @@
   capture to byte-identical artifacts, in memory and after a save/load
   round trip (checkpoints embed the complete private-level state, so
   this is state-for-state reproducibility);
+* **engine captures** — an engine's own in-memory capture
+  (:func:`repro.cpu.capture.capture_args`) records the same streams as
+  a capture of its configuration, and engines it cannot rebuild faithfully
+  are refused;
 * **fixed slack** — the retired ``REPRO_REPLAY_SLACK`` and
   ``REPRO_NO_REPLAY`` names change neither the artifact key nor a result.
 """
@@ -39,6 +43,7 @@ from repro.golden import (
     run_case,
 )
 from repro.runner import ParallelRunner, WorkloadJob, replaystore
+from repro.cpu.engine import MulticoreEngine
 from repro.runner.replaystore import (
     ReplayStore,
     identity_from_meta,
@@ -46,7 +51,7 @@ from repro.runner.replaystore import (
     replay_key,
     save_bundle,
 )
-from repro.sim.build import capture_identity
+from repro.sim.build import build_hierarchy, build_sources, capture_identity
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.trace.workloads import Workload
 from tests.golden.test_golden_master import CASE_IDS, CASES, _load
@@ -106,7 +111,7 @@ class TestSweepRouting:
     @pytest.mark.parametrize(
         ("policy", "workload", "benchmarks", "platform"), CASES, ids=CASE_IDS
     )
-    def test_handed_artifact_matches_fused(
+    def test_handed_artifact_matches_generic(
         self, policy, workload, benchmarks, platform, golden_store, monkeypatch
     ):
         config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
@@ -121,7 +126,9 @@ class TestSweepRouting:
             warmup=WARMUP,
             master_seed=MASTER_SEED,
         )
-        fused = job.execute().to_dict()
+        with monkeypatch.context() as m:
+            m.setenv("REPRO_NO_FASTPATH", "1")
+            generic = job.execute().to_dict()
 
         replayed = []
         run_replay = replay.run_replay
@@ -132,7 +139,7 @@ class TestSweepRouting:
             return snapshots
 
         monkeypatch.setattr(replay, "run_replay", spy)
-        assert job.execute(capture=str(path)).to_dict() == fused
+        assert job.execute(capture=str(path)).to_dict() == generic
         # Observable proof the handed artifact drove the run.
         assert replayed == [True]
 
@@ -209,6 +216,80 @@ class TestCaptureDeterminism:
         assert identity_from_meta(bundle.meta) == capture_identity(
             ("mcf", "libq"), config, 200, 50, 3
         )
+
+
+# -- engine captures -----------------------------------------------------------
+
+
+class TestEngineCapture:
+    QUOTA, WARMUP, SEED = 200, 50, 3
+
+    def _engine(self, config, benchmarks=("mcf", "libq")):
+        sources = build_sources(Workload("e", benchmarks), config, self.SEED)
+        return MulticoreEngine(
+            build_hierarchy(config, "ship"),
+            sources,
+            quota_per_core=self.QUOTA,
+            warmup_accesses=self.WARMUP,
+        )
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_matches_the_configured_capture(self, prefetch):
+        config = _config(2, prefetch)
+        engine = self._engine(config)
+        args = cap.capture_args(engine)
+        assert args == (
+            ("mcf", "libq"), engine.hierarchy, self.QUOTA, self.WARMUP, self.SEED, 0.0
+        )
+        own = _bundle_blob(cap.capture_workload(*args))
+        configured = _bundle_blob(
+            cap.capture_workload(
+                ("mcf", "libq"), config, self.QUOTA, self.WARMUP, self.SEED, 0.0
+            )
+        )
+        # The stride degree is recorded only where the prefetchers exist.
+        if not prefetch:
+            configured["meta"] = configured["meta"].replace(
+                '"l2_prefetch_degree": 2', '"l2_prefetch_degree": 0'
+            )
+        assert own == configured
+
+    @pytest.mark.parametrize("benchmarks", [("mcf",), ("mcf", "libq", "gcc")])
+    def test_streams_grow_only_as_far_as_the_run(self, benchmarks):
+        config = _config(len(benchmarks), True)
+        engine = self._engine(config, benchmarks)
+        bundle = cap.capture_workload(*cap.capture_args(engine))
+        finish = self.QUOTA + self.WARMUP
+        assert all(tape.length == finish for tape in bundle.tapes)
+        sims = [tape.live_sim for tape in bundle.tapes]
+        expected = self._engine(config, benchmarks)._run_generic()
+        assert replay.run_replay(engine, bundle, finalize=True) == expected
+        # Co-runners that outlived their streams continued them on the
+        # capture's own simulators, at most one step past their stop point.
+        assert [tape.live_sim for tape in bundle.tapes] == sims
+        for core, tape in zip(engine.cores, bundle.tapes):
+            assert core.accesses <= tape.length < core.accesses + cap.EXTENSION_STEP
+        # A single core stops exactly at its own quota completion.
+        assert (len(benchmarks) == 1) == all(
+            tape.length == finish for tape in bundle.tapes
+        )
+
+    def test_engines_it_cannot_rebuild_are_refused(self):
+        config = _config(2, False)
+        engine = self._engine(config)
+        engine.sources[1].next_access()  # already read from
+        assert cap.capture_args(engine) is None
+        engine = self._engine(config)
+        engine.sources.reverse()  # each built for the other core
+        assert cap.capture_args(engine) is None
+        engine = self._engine(config)
+        engine.sources = build_sources(
+            Workload("e", ("mcf", "libq")), replace(config, l1=config.l2), self.SEED
+        )  # calibrated for another geometry
+        assert cap.capture_args(engine) is None
+        engine = self._engine(config)
+        engine.hierarchy.l2s[0].policy = engine.hierarchy.llc.policy
+        assert cap.capture_args(engine) is None
 
 
 # -- fixed slack ---------------------------------------------------------------

@@ -77,29 +77,32 @@ class TestCapture:
             assert tape.ev_kind.count(4) == 1
             assert tape.ev_kind.count(5) == 1
             assert tape.baseline is not None and tape.finish is not None
-            # Checkpoints start at the pristine state and end at the tape end.
+            # Checkpoints start at quota completion and end at the tape end.
             assert len(tape.checkpoint_index) == len(tape.checkpoints)
-            assert tape.checkpoint_index[0] == tape.checkpoint(0)["index"] == 0
+            assert tape.checkpoint_index[0] == tape.checkpoint(0)["index"] == QUOTA + WARMUP
             assert tape.checkpoint_index[-1] == meta["length"]
             assert tape.checkpoint(-1)["index"] == meta["length"]
 
-    def test_replay_matches_fused_snapshots(self, bundle):
-        fused = _engine("ship")
-        expected = fused.run()
+    def test_replay_matches_generic_snapshots(self, bundle):
+        reference = _engine("ship")
+        expected = reference._run_generic()
         engine = _engine("ship")
         got = run_replay(engine, bundle)
         assert got == expected
-        assert engine.intervals_completed == fused.intervals_completed
-        assert engine.now == fused.now
+        assert engine.intervals_completed == reference.intervals_completed
+        assert engine.now == reference.now
 
     def test_finalize_false_skips_private_reconstruction(self, bundle):
-        fused = _engine("lru")
-        expected = fused.run()
+        reference = _engine("lru")
+        expected = reference._run_generic()
         engine = _engine("lru")
         got = run_replay(engine, bundle, finalize=False)
         assert got == expected
         # LLC-side state is exact; the discarded private levels stay pristine.
-        assert engine.hierarchy.llc.stats.snapshot() == fused.hierarchy.llc.stats.snapshot()
+        assert (
+            engine.hierarchy.llc.stats.snapshot()
+            == reference.hierarchy.llc.stats.snapshot()
+        )
         assert engine.hierarchy.l1s[0].stats.demand_hits[0] == 0
 
     def test_one_bundle_serves_a_policy_sweep(self):
@@ -351,14 +354,15 @@ class TestRunnerIntegration:
             for p in self.POLICIES
         ]
 
-    def test_sweep_results_identical_with_and_without_replay(self, tmp_path):
+    def test_sweep_results_identical_with_and_without_replay(self, tmp_path, monkeypatch):
         config = golden_config()
         store = ResultStore(tmp_path / "results")
         runner = ParallelRunner(jobs=1, store=store, use_cache=False)
         replayed = runner.run(self._jobs(config))
         assert runner.stats["bundle_loads"] == 1
-        fused = [job.execute() for job in self._jobs(config)]
-        assert [r.to_dict() for r in replayed] == [r.to_dict() for r in fused]
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        generic = [job.execute() for job in self._jobs(config)]
+        assert [r.to_dict() for r in replayed] == [r.to_dict() for r in generic]
 
     def test_sweep_materialises_one_artifact(self, tmp_path):
         config = golden_config()
@@ -447,6 +451,8 @@ class TestTapeArrays:
     def test_only_the_restored_checkpoint_is_decoded(self, bundle, tmp_path, monkeypatch):
         path = tmp_path / "replay-x.npz"
         save_bundle(bundle, path)
+        # Built before the spy: a default run captures and decodes too.
+        expected = _engine("ship")._run_generic()
         decoded = []
         real_loads = json.loads
 
@@ -459,7 +465,6 @@ class TestTapeArrays:
         monkeypatch.setattr(json, "loads", spy)
         loaded = load_bundle(path)
         assert decoded == []
-        expected = _engine("ship").run()
         assert run_replay(_engine("ship"), loaded, finalize=True) == expected
         # No core outran its stream, so the finaliser alone decoded: one
         # checkpoint per core, each at or before that core's stop point.

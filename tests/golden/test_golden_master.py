@@ -96,8 +96,8 @@ class TestKernelDifferential:
         assert not problems, "\n".join(problems)
 
     def test_replay_equals_fast(self, policy, workload, benchmarks, platform):
-        """Capture + LLC-filtered replay reproduces the fused kernel
-        record for record — snapshots, every cache's stats and content
+        """Replay of an independently captured bundle reproduces the
+        engine's own in-memory capture + replay record for record — snapshots, every cache's stats and content
         digest, timing-model counters, trace positions and RNG state."""
         fast = run_case(policy, benchmarks, platform=platform)
         replayed = run_case(policy, benchmarks, platform=platform, kernel="replay")
@@ -212,7 +212,7 @@ class _NextAccessOnly:
 
 
 class TestFastPathDispatch:
-    """The engine must actually *use* the fused kernel where eligible."""
+    """The engine must actually *use* capture + replay where eligible."""
 
     def _engine(self, policy="tadrrip", **config_kwargs):
         config = golden_config()

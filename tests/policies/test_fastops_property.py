@@ -3,8 +3,8 @@
 For every policy exposing a native fast-op kind (SHiP, EAF, ADAPT, the
 duelling DIP/DRRIP/TA-DRRIP family), hypothesis draws random run
 parameters — workload mix, master seed, budgets, prefetch shape — and the
-same platform is executed once on the fused kernel (inlined fast-ops) and
-once on the generic loop (method-call hooks).  The *internal policy
+same platform is executed once on capture + replay (fast-ops inlined in
+the replay kernel) and once on the generic loop (method-call hooks).  The *internal policy
 state* must match element for element: SHCT counters, signature and
 outcome arrays, Bloom-filter bits and reset counts, Footprint sampler
 arrays, PSEL values, epsilon-ticker phases and RRPV/stamp rows.

@@ -1,8 +1,8 @@
-"""Property-based equivalence: LLC-filtered replay vs the fused kernel.
+"""Property-based equivalence: LLC-filtered replay vs the generic loop.
 
 Hypothesis draws random run parameters — workload mix, master seed,
 budgets, prefetch shape, capture slack — and the same platform is
-executed once on the fused kernel and once as capture + replay.  The
+executed once on the generic reference loop and once as capture + replay.  The
 *internal LLC policy state* must match element for element (SHCT
 counters, signature/outcome arrays, Bloom-filter bits, Footprint sampler
 arrays, PSEL values, epsilon-ticker phases, RRPV/stamp rows), along with
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import fastpath
 from repro.cpu.capture import capture_workload
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
@@ -81,14 +80,12 @@ def _observe(engine, snapshots):
     prefetch=st.booleans(),
     slack=st.sampled_from((0.0, 0.05, 1.0)),
 )
-def test_replay_matches_fused_policy_state(
+def test_replay_matches_generic_policy_state(
     policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, slack
 ):
     benchmarks = (bench_a, bench_b)
-    fused = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
-    snapshots = fastpath.run_fast(fused)
-    assert snapshots is not None, "platform must be fast-path eligible"
-    expected = _observe(fused, snapshots)
+    reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    expected = _observe(reference, reference._run_generic())
 
     bundle = capture_workload(
         benchmarks, _config(prefetch), quota, warmup, seed, slack=slack

@@ -160,7 +160,7 @@ def test_config_hash_unaffected_by_kernel_selection(
         report_from_store(ResultStore(results_dir), n_resamples=100)
     )
     monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    out = tmp_path / "fused-store"
+    out = tmp_path / "generic-store"
     run = run_tournament(
         SystemConfig.scaled(4),
         policies=("lru", "tadrrip"),

@@ -227,8 +227,8 @@ class TestArtifactCorruption:
         faulted = self._run_sweep(
             tmp_path / "faulted", "corrupt-artifact:replay", monkeypatch
         )
-        # The damaged capture was never trusted: results fell back to the
-        # fused kernel, which is bit-identical.
+        # The damaged capture was never trusted: each run captured its own
+        # workload in memory instead, with bit-identical results.
         assert faulted == clean
         held = quarantined_artifacts(tmp_path / "faulted" / "traces")
         assert any(p.name.startswith("replay-") for p in held)

@@ -1,7 +1,8 @@
 """End-to-end tests of the dependency-edged capture→replay pipeline.
 
 The load-bearing properties: pipelined runs are bit-identical to direct
-fused ``job.execute()`` calls, inline and pooled; each swept job is
+``job.execute()`` calls (each capturing its own workload in memory),
+inline and pooled; each swept job is
 handed exactly its own sweep's artifact path, and every other job none;
 a failed capture is retried like any job and then costs only its
 sweep's replay kernel (never a result); a sweep loads its artifact
@@ -61,8 +62,8 @@ def _run(jobs, *, n=1, retry=None):
     return results, runner
 
 
-def _fused(jobs):
-    """The reference: every job executed directly, on the fused kernel."""
+def _direct(jobs):
+    """The reference: every job executed directly, with its own capture."""
     return [job.execute() for job in jobs]
 
 
@@ -106,7 +107,7 @@ def _record_routes(monkeypatch, n: int) -> dict:
 
 
 class TestPipelinedEquivalence:
-    def test_pipelined_matches_fused(self, tiny_config):
+    def test_pipelined_matches_direct(self, tiny_config):
         jobs = _sweep(tiny_config, ("lru", "adapt"), mixes=("thrash", "friendly"))
 
         pipelined, runner = _run(jobs)
@@ -114,18 +115,18 @@ class TestPipelinedEquivalence:
         assert runner.stats["failed"] == 0
         assert runner.stats["bundle_loads"] == 2
 
-        assert pipelined == _fused(jobs)
+        assert pipelined == _direct(jobs)
 
     @pytest.mark.slow
-    def test_pool_run_matches_fused(self, tiny_config):
+    def test_pool_run_matches_direct(self, tiny_config):
         jobs = _sweep(tiny_config, ("lru", "ship", "adapt"), mixes=("thrash", "friendly"))
         pooled, runner = _run(jobs, n=2)
         assert runner.stats["failed"] == 0
         assert runner.stats["bundle_loads"] >= 2
 
-        assert pooled == _fused(jobs)
+        assert pooled == _direct(jobs)
 
-    def test_mixed_batch_matches_fused_inline(self, tiny_config):
+    def test_mixed_batch_matches_direct_inline(self, tiny_config):
         # A swept mix alongside an unswept one: only the sweep replays.
         jobs = _sweep(tiny_config, ("lru", "ship")) + _sweep(
             tiny_config, ("adapt",), mixes=("friendly",)
@@ -134,7 +135,7 @@ class TestPipelinedEquivalence:
         assert runner.stats["bundle_loads"] == 1
         assert runner.stats["executed"] == len(jobs)
 
-        assert pipelined == _fused(jobs)
+        assert pipelined == _direct(jobs)
 
 
 class TestRouting:
@@ -159,7 +160,7 @@ class TestRouting:
             # The two sweeps' paths are distinct, and each was written.
             assert len({expected[job.cache_key()] for job in swept}) == 2
             assert all(Path(expected[job.cache_key()]).is_file() for job in swept)
-        assert results == _fused(jobs)
+        assert results == _direct(jobs)
 
     @pytest.mark.parametrize("use_cache", [True, False], ids=["store", "no-cache"])
     def test_planned_path_is_the_materialised_path(self, tiny_config, tmp_path, use_cache):
@@ -184,7 +185,7 @@ class TestRouting:
         handed = _record_routes(monkeypatch, 1)
         replaystore._BUNDLES.clear()  # as in a fresh invocation
         runner = ParallelRunner(jobs=1, store=store)
-        assert runner.run(jobs) == _fused(jobs)
+        assert runner.run(jobs) == _direct(jobs)
         assert set(handed.values()) == {expected}
         assert Path(expected).stat().st_mtime_ns == mtime
         assert runner.stats["bundle_loads"] == 1
@@ -218,7 +219,7 @@ class TestRouting:
             assert loaded == ([expected] if n == 1 else [])
             assert runner.stats["bundle_loads"] >= 1
             seen[name] = results
-        assert seen["a"] == seen["b"] == _fused(jobs)
+        assert seen["a"] == seen["b"] == _direct(jobs)
 
 
 class TestCaptureFailureDegradation:
@@ -246,12 +247,12 @@ class TestCaptureFailureDegradation:
         handed = _record_routes(monkeypatch, n)
 
         # Poison exactly the thrash sweep's capture job: it is retried,
-        # quarantines, and its replays get no path (the fused kernel);
+        # quarantines, and its runs get no path (each captures its own);
         # the friendly sweep pipelines normally.  Zero lost cells,
         # bit-identical results.
         monkeypatch.setenv("REPRO_FAULT", "poison:" + ckey[:24])
         poisoned, runner = _run(jobs, n=n, retry=FAST_RETRY)
-        assert poisoned == _fused(jobs)
+        assert poisoned == _direct(jobs)
         assert all(result is not None for result in poisoned)
         assert runner.stats["retried"] == 1
         thrash_keys = {j.cache_key() for j in jobs if j.workload_name == "thrash"}
@@ -266,10 +267,12 @@ class TestCaptureFailureDegradation:
             assert loaded and not any(ckey in path for path in loaded)
 
     @pytest.mark.parametrize("n", [1, 2], ids=["inline", "pool"])
-    def test_raising_capture_is_retried_then_runs_fused(self, tiny_config, monkeypatch, n):
+    def test_raising_capture_is_retried_then_runs_unshared(
+        self, tiny_config, monkeypatch, n
+    ):
         """A capture that raises inside ``materialise`` fails like any job,
-        inline and pooled alike: retried, then quarantined, and its sweep
-        runs fused."""
+        inline and pooled alike: retried, then quarantined, and each run
+        of its sweep captures its own workload in memory."""
 
         def broken(self, *args):
             raise OSError("disk full")
@@ -278,7 +281,7 @@ class TestCaptureFailureDegradation:
         jobs = _sweep(tiny_config, ("lru", "ship"))
         handed = _record_routes(monkeypatch, n)
         results, runner = _run(jobs, n=n, retry=FAST_RETRY)
-        assert results == _fused(jobs)
+        assert results == _direct(jobs)
         assert runner.stats["retried"] == 1
         assert runner.stats["failed"] == 0
         assert set(handed.values()) == {None}
@@ -306,7 +309,7 @@ class TestCaptureFailureDegradation:
         assert runner.stats["retried"] == 1
         assert set(handed.values()) == {expected}
         assert runner.stats["bundle_loads"] >= 1
-        assert results == _fused(jobs)
+        assert results == _direct(jobs)
 
 
 class TestBundleCache:

@@ -210,7 +210,7 @@ class TestSimulationOverTargets:
         )
         assert result.snapshot.accesses >= 1500
 
-    def test_generic_and_fused_kernels_are_bit_identical(
+    def test_generic_and_fast_kernels_are_bit_identical(
         self, active, tiny_config, monkeypatch
     ):
         workload = Workload(
@@ -227,9 +227,9 @@ class TestSimulationOverTargets:
             workload, tiny_config, "lru", quota=1200, warmup=300
         )
         monkeypatch.delenv("REPRO_NO_FASTPATH")
-        fused = run_workload(workload, tiny_config, "lru", quota=1200, warmup=300)
-        assert fused.snapshots == generic.snapshots
-        assert fused.intervals == generic.intervals
+        fast = run_workload(workload, tiny_config, "lru", quota=1200, warmup=300)
+        assert fast.snapshots == generic.snapshots
+        assert fast.intervals == generic.intervals
 
     def test_deterministic_across_runs(self, active, tiny_config):
         workload = Workload("real-det", ("tgt:toy.lackey", "tgt:toy.lackey"))

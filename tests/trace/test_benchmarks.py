@@ -172,8 +172,8 @@ class TestMakeSource:
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_every_benchmark_streams_identically_chunked_and_scalar(name):
-    """``make_source``'s source read chunk-wise (the fused and capture
-    kernels' path) reproduces a directly built source's one-at-a-time
+    """``make_source``'s source read chunk-wise (the capture pass's
+    path) reproduces a directly built source's one-at-a-time
     stream across chunk boundaries and a mid-chunk restart."""
     chunked = make_source(name, GEO, 1, 3)
     scalar = TraceSource(BENCHMARKS[name], GEO, 1, 3)
