@@ -99,22 +99,27 @@ def _checkpoint_interval(length: int) -> int:
     return max(TraceSource.CHUNK, -(-length // _TARGET_CHECKPOINTS))
 
 
-def _decode_chunk(source, set_mask: int) -> tuple:
-    """Fetch and pre-decode one trace chunk: native lists + set indices.
+def _decode_chunk(source, set_mask: int, limit: int) -> tuple:
+    """Fetch and pre-decode the next *limit* accesses of the current chunk.
 
     ``next_chunk`` hands back NumPy arrays; the per-access loop wants plain
     Python scalars (dict keys, arbitrary-precision arithmetic) and the L1
     set index of every access.  Both conversions are done here with
-    vectorised NumPy operations, once per ``CHUNK``.
+    vectorised NumPy operations, on at most *limit* accesses from the
+    source's position to the end of its chunk, so a short run decodes (and
+    holds) no more than it reads.
 
-    Returns ``(addrs, sets, pcs, writes, position)``.
+    Returns ``(addrs, sets, pcs, writes, position)``, the lists starting at
+    the chunk offset ``position``.
     """
     arr_addrs, arr_pcs, arr_writes, pos = source.next_chunk()
+    end = pos + limit
+    addrs = arr_addrs[pos:end]
     return (
-        arr_addrs.tolist(),
-        (arr_addrs & set_mask).tolist(),
-        arr_pcs.tolist(),
-        arr_writes.tolist(),
+        addrs.tolist(),
+        (addrs & set_mask).tolist(),
+        arr_pcs[pos:end].tolist(),
+        arr_writes[pos:end].tolist(),
         pos,
     )
 
@@ -179,9 +184,9 @@ class CoreTape:
         self.baseline: dict | None = None
         self.finish: dict | None = None
         self.length = 0
-        #: Continuation simulator at the tape end: the capture's own, or
-        #: one attached by the replay kernel when a run outlives a stream
-        #: loaded from disk.
+        #: Continuation simulator at the tape end: the capture's own on a
+        #: slack-free capture, else attached by the replay kernel when a run
+        #: first outlives the stream.
         self.live_sim: PrivateCoreSim | None = None
 
     def add_checkpoint(self, state: dict) -> None:
@@ -267,6 +272,7 @@ class PrivateCoreSim:
         "_psel_val",
         "_tick_cnt",
         "_buf",
+        "_base",
         "_pos",
         "_len",
     )
@@ -299,6 +305,7 @@ class PrivateCoreSim:
         self._psel_val = l2.policy._psel.value
         self._tick_cnt = l2.policy._ticker._count
         self._buf = None
+        self._base = 0
         self._pos = 0
         self._len = 0
 
@@ -393,6 +400,12 @@ class PrivateCoreSim:
         self._lookup2, self._valid2 = _residency(l2)
         self._psel_val = l2.policy._psel.value
         self._tick_cnt = l2.policy._ticker._count
+
+    def release_chunk(self) -> None:
+        """Drop the decoded accesses; the next :meth:`run` decodes again
+        from the source's committed position."""
+        self._buf = None
+        self._pos = self._len = 0
 
     # -- the private-level loop ---------------------------------------------
 
@@ -529,19 +542,23 @@ class PrivateCoreSim:
                 eva_append(addr)
                 evp_append(pc)
 
+        # ``buf`` holds decoded accesses from chunk offset ``base`` on;
+        # ``pos`` indexes it.
         buf = self._buf
+        base = self._base
         pos = self._pos
         length = self._len
         remaining = n
         while remaining:
             if pos >= length:
                 if buf is not None:
-                    source.commit(pos)
-                # With no buffer yet (fresh or restored sim) the source's
-                # own position is authoritative — committing the local one
-                # would rewind a state-advanced source.
-                buf = _decode_chunk(source, mask1)
-                pos = buf[4]
+                    source.commit(base + pos)
+                # With no buffer (fresh, restored or released sim) the
+                # source's own position is authoritative — committing the
+                # local one would rewind a state-advanced source.
+                buf = _decode_chunk(source, mask1, remaining)
+                base = buf[4]
+                pos = 0
                 length = len(buf[0])
             buf_a, buf_s, buf_p, buf_w = buf[0], buf[1], buf[2], buf[3]
             take = length - pos
@@ -680,8 +697,9 @@ class PrivateCoreSim:
                 count += 1
                 instr += ipa
 
-        source.commit(pos)
+        source.commit(base + pos)
         self._buf = buf
+        self._base = base
         self._pos = pos
         self._len = length
         self.count = count
@@ -764,15 +782,16 @@ def capture_args(engine) -> tuple | None:
 
     The capture rebuilds each core's source from its trace name, so it
     needs sources that name their trace and have not been read yet, built
-    for their own core and the hierarchy's geometry.  Returns ``None`` for anything else, and for private levels other than
-    plain-LRU L1s and plain-DRRIP L2s; such engines run the generic loop.
-    Duck-typed sources (instrumentation wrappers exposing only
-    ``next_access``) are among them.
+    for their own core and the hierarchy's geometry.  Returns ``None`` for
+    anything else, and for private levels other than plain-LRU L1s and
+    plain-DRRIP L2s; such engines run the generic loop.  Duck-typed
+    sources (instrumentation wrappers exposing only ``next_access``) are
+    among them.
 
-    The streams are captured without slack: a run that outlives one
-    continues it on the capture's own simulator, a step at a time
-    (:func:`extend_tape`), so no access past the run's end is captured in
-    bulk.
+    The streams are captured without slack: a co-runner that outlives
+    its quota continues its stream on the capture's own simulator,
+    :data:`EXTENSION_STEP` accesses at a time, so little is captured past
+    the run's end.
     """
     h = engine.hierarchy
     for cache in h.l1s:
@@ -894,9 +913,12 @@ def capture_workload(
                 tape.ev_pc.append(0)
             if boundary >= finish:
                 tape.add_checkpoint(sim.snapshot_state())
-        # The capture's own simulator continues the stream if a replay
-        # outlives it, so an extension never rebuilds the tape-end state.
-        tape.live_sim = sim
+        if n_cap == finish:
+            # Without slack, every co-runner that outlives its own quota
+            # continues the stream: keep the simulator on the tape for that,
+            # rather than rebuild it from the tape-end checkpoint.
+            sim.release_chunk()
+            tape.live_sim = sim
         tapes.append(tape)
 
     return CaptureBundle(meta, tapes)
@@ -907,10 +929,10 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
 
     Used by the replay kernel when a run outlives the captured stream
     (heavy completion-time skew between co-runners).  The continuation
-    runs on the capture's own simulator, or, for a bundle loaded from
-    disk, on scratch private levels resumed from the tape-end checkpoint
-    — the engine's own objects stay untouched for the final
-    reconstruction — and appends a checkpoint every interval so the
+    runs on the tape's continuation simulator: the capture's own on a
+    slack-free capture, else scratch private levels resumed from the
+    tape-end checkpoint — the engine's own objects stay untouched for the
+    final reconstruction — and appends a checkpoint every interval so the
     finaliser can pick up near the new end.
     """
     tape = bundle.tapes[core_id]

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.cpu import capture as cap
 from repro.cpu import replay
+from repro.cpu.engine import MulticoreEngine
 from repro.golden import (
     GOLDEN_PLATFORMS,
     GOLDEN_WORKLOADS,
@@ -43,7 +44,6 @@ from repro.golden import (
     run_case,
 )
 from repro.runner import ParallelRunner, WorkloadJob, replaystore
-from repro.cpu.engine import MulticoreEngine
 from repro.runner.replaystore import (
     ReplayStore,
     identity_from_meta,

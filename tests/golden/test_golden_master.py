@@ -97,8 +97,9 @@ class TestKernelDifferential:
 
     def test_replay_equals_fast(self, policy, workload, benchmarks, platform):
         """Replay of an independently captured bundle reproduces the
-        engine's own in-memory capture + replay record for record — snapshots, every cache's stats and content
-        digest, timing-model counters, trace positions and RNG state."""
+        engine's own in-memory capture + replay record for record —
+        snapshots, every cache's stats and content digest, timing-model
+        counters, trace positions and RNG state."""
         fast = run_case(policy, benchmarks, platform=platform)
         replayed = run_case(policy, benchmarks, platform=platform, kernel="replay")
         problems = compare_records(fast, replayed)
