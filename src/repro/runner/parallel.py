@@ -89,12 +89,11 @@ def _execute_task(task: tuple[str, tuple]) -> object:
     One pool serves both job families, so a worker alternates freely
     between captures and sims as the dependency-edged queue drains.  A
     capture that raises fails like any other job: the supervisor retries
-    it, and quarantining it leaves each of its sweep's runs to capture its
-    own workload in memory.  A sim
-    task carries its own sweep's artifact path, or ``None``; bundles are
-    cached per path, so a worker loads each artifact once per sweep.  The
-    job's cache key and attempt number ride along too, for the
-    fault-injection harness.
+    it, and quarantining it leaves each run of its sweep to capture its own
+    workload in memory.  A sim task carries its own sweep's artifact path,
+    or ``None``; bundles are cached per path, so a worker loads each
+    artifact once per sweep.  The job's cache key and attempt number ride
+    along too, for the fault-injection harness.
 
     A sim's wire dict carries a ``_counters`` delta (bundle loads) that
     the parent strips and folds into ``runner.stats``.
@@ -352,8 +351,8 @@ class ParallelRunner:
         until the capture's outcome lands — and unrelated jobs flow
         freely around a slow (or hung, or crashed) capture.  A swept job
         is then handed its sweep's artifact path if the capture
-        succeeded, and ``None`` (an in-memory capture) if it was quarantined;
-        inline and pool execution take the same route.  Capture outcomes
+        succeeded, and ``None`` (it captures in memory) if it was
+        quarantined; inline and pool execution take the same route.  Capture outcomes
         never surface to the caller; only sim outcomes are yielded.
         """
         capture_jobs, routes = self._plan_captures(misses)
