@@ -137,9 +137,6 @@ class FootprintSampler:
     def num_monitor_sets(self) -> int:
         return len(self.monitored_sets)
 
-    def is_monitored(self, set_idx: int) -> bool:
-        return set_idx in self._index_of
-
     def observe(self, set_idx: int, block_addr: int) -> None:
         """Sample one demand access if it targets a monitored set."""
         arr_idx = self._index_of.get(set_idx)

@@ -38,23 +38,26 @@ state in the same order as the generic engine loop
 :class:`~repro.cache.hierarchy.CacheHierarchy`), which the golden
 differential suite machine-checks.
 
-A policy sweep's capture is saved once and handed to every swept run
+What a capture depends on is its :class:`CaptureIdentity`, built from a
+job by :func:`job_identity` and from an engine by :func:`engine_identity`;
+a capture serves exactly the runs whose identity equals its own.  A policy
+sweep's capture is saved once and handed to every swept run
 (:mod:`repro.runner.replaystore`); any other fast run captures its own
-workload in memory first (:func:`capture_args`, driven by
-:func:`repro.cpu.fastpath.run_fast`).
+workload in memory first (:func:`repro.cpu.fastpath.run_fast`).
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cache.prefetch import StrideEntry
 from repro.policies.drrip import DrripPolicy
 from repro.policies.lru import LruPolicy
-from repro.trace.benchmarks import TraceSource, make_source
+from repro.trace.benchmarks import Geometry, TraceSource, make_source
 
 #: Step-stream codes: the access's private-time cost class.
 STEP_HIT, STEP_L2HIT, STEP_LLC = 0, 1, 2
@@ -92,6 +95,130 @@ EXTENSION_STEP = 256
 #: inter-checkpoint span per core, so denser checkpoints trade a little
 #: capture memory for faster finalised replays).
 _TARGET_CHECKPOINTS = 24
+
+
+class CaptureIdentity(NamedTuple):
+    """Everything a capture's streams depend on, and nothing they don't.
+
+    Trace names, private-level geometry, prefetch configuration, run
+    budgets, seed and chunk size.  The LLC policy, LLC associativity and
+    every latency live on the replay side, so a whole policy sweep (and
+    LLC-way studies on the same set count) shares one capture.  The field
+    order is the one :func:`repro.runner.replaystore.replay_key` hashes,
+    so it is part of every artifact's name.
+
+    A capture's meta is these fields plus ``format``, ``slack`` and
+    ``length``.
+    """
+
+    benchmarks: tuple[str, ...]
+    l1_sets: int
+    l1_ways: int
+    l2_sets: int
+    l2_ways: int
+    llc_sets: int
+    l1_next_line_prefetch: bool
+    l2_stride_prefetch: bool
+    #: 0 when ``l2_stride_prefetch`` is off.
+    l2_prefetch_degree: int
+    quota: int
+    warmup: int
+    master_seed: int
+    chunk: int
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> CaptureIdentity:
+        """The identity a capture's meta records."""
+        fields = {name: meta[name] for name in cls._fields}
+        fields["benchmarks"] = tuple(fields["benchmarks"])
+        if not fields["l2_stride_prefetch"]:
+            # Older builds saved the configured degree here.
+            fields["l2_prefetch_degree"] = 0
+        return cls(**fields)
+
+    def geometry(self) -> Geometry:
+        """The calibration geometry the capture's sources are built for."""
+        return Geometry(
+            llc_num_sets=self.llc_sets,
+            l2_blocks=self.l2_sets * self.l2_ways,
+            l1_blocks=self.l1_sets * self.l1_ways,
+        )
+
+
+def job_identity(
+    benchmarks: tuple[str, ...], config, quota: int, warmup: int, master_seed: int
+) -> CaptureIdentity:
+    """The identity of a job's capture: *benchmarks* on *config*'s platform."""
+    stride = bool(config.l2_stride_prefetch)
+    return CaptureIdentity(
+        tuple(benchmarks),
+        config.l1.num_sets,
+        config.l1.ways,
+        config.l2.num_sets,
+        config.l2.ways,
+        config.llc.num_sets,
+        bool(config.l1_next_line_prefetch),
+        stride,
+        int(config.l2_prefetch_degree) if stride else 0,
+        int(quota),
+        int(warmup),
+        int(master_seed),
+        TraceSource.CHUNK,
+    )
+
+
+def engine_identity(engine) -> CaptureIdentity | None:
+    """The identity of the capture that can serve *engine*, or ``None``.
+
+    A capture simulates plain-LRU L1s and plain-DRRIP L2s and rebuilds each
+    core's source from its trace name, so it serves only cores that have
+    not run yet, with one quota, fed by unread chunked sources that name
+    their trace and were built for their own core, one seed and the
+    hierarchy's geometry.  Any other engine runs the generic loop;
+    duck-typed sources (instrumentation wrappers exposing only
+    ``next_access``) are among them.
+    """
+    h = engine.hierarchy
+    for cache in h.l1s:
+        if type(cache.policy) is not LruPolicy:
+            return None
+    for cache in h.l2s:
+        if type(cache.policy) is not DrripPolicy:
+            return None
+    l1, l2, pfs = h.l1s[0], h.l2s[0], h.l2_prefetchers
+    identity = CaptureIdentity(
+        (),
+        l1.num_sets,
+        l1.ways,
+        l2.num_sets,
+        l2.ways,
+        h.llc.num_sets,
+        bool(h.l1_next_line_prefetch),
+        pfs is not None,
+        pfs[0].degree if pfs is not None else 0,
+        engine.cores[0].quota,
+        engine.warmup_accesses,
+        getattr(engine.sources[0], "master_seed", None),
+        TraceSource.CHUNK,
+    )
+    geometry = identity.geometry()
+    names = []
+    for cid, (core, source) in enumerate(zip(engine.cores, engine.sources)):
+        spec = getattr(source, "spec", None)
+        if (
+            spec is None
+            or not hasattr(source, "next_chunk")
+            or getattr(source, "CHUNK", None) != identity.chunk
+            or getattr(source, "chunks_generated", 1)
+            or getattr(source, "geometry", None) != geometry
+            or getattr(source, "core_id", None) != cid
+            or getattr(source, "master_seed", None) != identity.master_seed
+            or core.quota != identity.quota
+            or core.accesses
+        ):
+            return None
+        names.append(spec.name)
+    return identity._replace(benchmarks=tuple(names))
 
 
 def _checkpoint_interval(length: int) -> int:
@@ -235,6 +362,14 @@ class CaptureBundle:
     def __init__(self, meta: dict, tapes: list[CoreTape]) -> None:
         self.meta = meta
         self.tapes = tapes
+
+    def identity(self) -> CaptureIdentity | None:
+        """The identity of the runs this bundle serves; ``None`` when its
+        format or tape count is wrong."""
+        if self.meta.get("format") != CAPTURE_FORMAT:
+            return None
+        identity = CaptureIdentity.from_meta(self.meta)
+        return identity if len(self.tapes) == len(identity.benchmarks) else None
 
 
 class PrivateCoreSim:
@@ -715,108 +850,23 @@ class PrivateCoreSim:
 # -- capture drivers -----------------------------------------------------------
 
 
-def _fresh_private_level(meta: dict, core_id: int):
+def _fresh_private_level(identity: CaptureIdentity, core_id: int):
     """One core's private caches + prefetcher, exactly as the builder wires them."""
     from repro.cache.cache import SetAssociativeCache
     from repro.cache.prefetch import StridePrefetcher
 
     l1 = SetAssociativeCache(
-        f"l1d-{core_id}", meta["l1_sets"], meta["l1_ways"], LruPolicy(), num_cores=1
+        f"l1d-{core_id}", identity.l1_sets, identity.l1_ways, LruPolicy(), num_cores=1
     )
     l2 = SetAssociativeCache(
-        f"l2-{core_id}", meta["l2_sets"], meta["l2_ways"], DrripPolicy(), num_cores=1
+        f"l2-{core_id}", identity.l2_sets, identity.l2_ways, DrripPolicy(), num_cores=1
     )
     prefetcher = (
-        StridePrefetcher(degree=meta["l2_prefetch_degree"])
-        if meta["l2_stride_prefetch"]
+        StridePrefetcher(degree=identity.l2_prefetch_degree)
+        if identity.l2_stride_prefetch
         else None
     )
     return l1, l2, prefetcher
-
-
-def _meta_geometry(meta: dict):
-    from repro.trace.benchmarks import Geometry
-
-    return Geometry(
-        llc_num_sets=meta["llc_sets"],
-        l2_blocks=meta["l2_sets"] * meta["l2_ways"],
-        l1_blocks=meta["l1_sets"] * meta["l1_ways"],
-    )
-
-
-def _platform(config) -> dict:
-    """The private-level geometry and prefetch fields of a capture's meta.
-
-    *config* is a :class:`~repro.sim.config.SystemConfig`, or the built
-    :class:`~repro.cache.hierarchy.CacheHierarchy` of an engine whose own
-    workload is captured in memory.  A hierarchy without stride
-    prefetchers records degree 0; the degree is read only when the
-    prefetchers exist.
-    """
-    if hasattr(config, "l1s"):
-        l1, l2, pfs = config.l1s[0], config.l2s[0], config.l2_prefetchers
-        return {
-            "l1_sets": l1.num_sets,
-            "l1_ways": l1.ways,
-            "l2_sets": l2.num_sets,
-            "l2_ways": l2.ways,
-            "llc_sets": config.llc.num_sets,
-            "l1_next_line_prefetch": bool(config.l1_next_line_prefetch),
-            "l2_stride_prefetch": pfs is not None,
-            "l2_prefetch_degree": pfs[0].degree if pfs is not None else 0,
-        }
-    return {
-        "l1_sets": config.l1.num_sets,
-        "l1_ways": config.l1.ways,
-        "l2_sets": config.l2.num_sets,
-        "l2_ways": config.l2.ways,
-        "llc_sets": config.llc.num_sets,
-        "l1_next_line_prefetch": bool(config.l1_next_line_prefetch),
-        "l2_stride_prefetch": bool(config.l2_stride_prefetch),
-        "l2_prefetch_degree": int(config.l2_prefetch_degree),
-    }
-
-
-def capture_args(engine) -> tuple | None:
-    """:func:`capture_workload`'s arguments for *engine*'s own workload.
-
-    The capture rebuilds each core's source from its trace name, so it
-    needs sources that name their trace and have not been read yet, built
-    for their own core and the hierarchy's geometry.  Returns ``None`` for
-    anything else, and for private levels other than plain-LRU L1s and
-    plain-DRRIP L2s; such engines run the generic loop.  Duck-typed
-    sources (instrumentation wrappers exposing only ``next_access``) are
-    among them.
-
-    The streams are captured without slack: a co-runner that outlives
-    its quota continues its stream on the capture's own simulator,
-    :data:`EXTENSION_STEP` accesses at a time, so little is captured past
-    the run's end.
-    """
-    h = engine.hierarchy
-    for cache in h.l1s:
-        if type(cache.policy) is not LruPolicy:
-            return None
-    for cache in h.l2s:
-        if type(cache.policy) is not DrripPolicy:
-            return None
-    platform = _platform(h)
-    geometry = _meta_geometry(platform)
-    names = []
-    for cid, source in enumerate(engine.sources):
-        spec = getattr(source, "spec", None)
-        if (
-            spec is None
-            or not hasattr(source, "next_chunk")
-            or getattr(source, "chunks_generated", 1)
-            or getattr(source, "geometry", None) != geometry
-            or getattr(source, "core_id", None) != cid
-        ):
-            return None
-        names.append(spec.name)
-    # The replay kernel checks the rest: quota, warm-up, seeds, chunk size.
-    seed = engine.sources[0].master_seed
-    return tuple(names), h, engine.cores[0].quota, engine.warmup_accesses, seed, 0.0
 
 
 def advance_source(source, n: int) -> None:
@@ -838,47 +888,29 @@ def advance_source(source, n: int) -> None:
         consumed += take
 
 
-def capture_workload(
-    benchmarks: tuple[str, ...],
-    config,
-    quota: int,
-    warmup: int,
-    master_seed: int = 0,
-    slack: float = REPLAY_SLACK,
-) -> CaptureBundle:
-    """Capture the private-level streams of one (workload, platform, seed).
+def capture_workload(identity: CaptureIdentity, slack: float = REPLAY_SLACK) -> CaptureBundle:
+    """Capture the private-level streams of one :class:`CaptureIdentity`.
 
     Builds fresh sources and private levels (independent of any engine),
     simulates each core ``(quota + warmup) * (1 + slack)`` accesses, and
     returns the bundle the replay kernel consumes.  Sources go through
     :func:`repro.trace.benchmarks.make_source`, like every other run.
-    *config* is a :class:`~repro.sim.config.SystemConfig` or a built
-    hierarchy (see :func:`_platform`).
     """
-    finish = quota + warmup
+    warmup = identity.warmup
+    finish = identity.quota + warmup
     n_cap = finish + int(round(slack * finish))
     interval = _checkpoint_interval(n_cap)
-    meta = {
-        "format": CAPTURE_FORMAT,
-        "benchmarks": list(benchmarks),
-        "num_cores": len(benchmarks),
-        "quota": quota,
-        "warmup": warmup,
-        "master_seed": master_seed,
-        "slack": slack,
-        "length": n_cap,
-        "chunk": TraceSource.CHUNK,
-        **_platform(config),
-    }
-    geometry = _meta_geometry(meta)
+    meta = {"format": CAPTURE_FORMAT, **identity._asdict(), "slack": slack, "length": n_cap}
+    meta["benchmarks"] = list(identity.benchmarks)  # as it reads back from JSON
+    geometry = identity.geometry()
 
     tapes: list[CoreTape] = []
-    for core_id, name in enumerate(benchmarks):
-        source = make_source(name, geometry, core_id, master_seed)
-        l1, l2, prefetcher = _fresh_private_level(meta, core_id)
+    for core_id, name in enumerate(identity.benchmarks):
+        source = make_source(name, geometry, core_id, identity.master_seed)
+        l1, l2, prefetcher = _fresh_private_level(identity, core_id)
         tape = CoreTape()
         sim = PrivateCoreSim(
-            l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape
+            l1, l2, prefetcher, identity.l1_next_line_prefetch, source, tape
         )
         # Checkpoints from quota completion on: every core of a run has
         # reached it when the run ends, so the finaliser never restores an
@@ -938,16 +970,16 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     tape = bundle.tapes[core_id]
     sim = tape.live_sim
     if sim is None:
-        meta = bundle.meta
-        l1, l2, prefetcher = _fresh_private_level(meta, core_id)
+        identity = CaptureIdentity.from_meta(bundle.meta)
+        l1, l2, prefetcher = _fresh_private_level(identity, core_id)
         source = make_source(
-            meta["benchmarks"][core_id],
-            _meta_geometry(meta),
+            identity.benchmarks[core_id],
+            identity.geometry(),
             core_id,
-            meta["master_seed"],
+            identity.master_seed,
         )
         sim = PrivateCoreSim(
-            l1, l2, prefetcher, meta["l1_next_line_prefetch"], source, tape
+            l1, l2, prefetcher, identity.l1_next_line_prefetch, source, tape
         )
         sim.restore_state(tape.checkpoint(-1))
         advance_source(source, tape.checkpoint_index[-1])

@@ -146,13 +146,17 @@ def resolve_llc_dispatch(policy) -> LlcDispatch:
 def run_fast(engine, bundle=None, finalize: bool = True) -> list | None:
     """Run *engine* to completion on the capture + replay kernel.
 
-    Replays *bundle* when it matches the engine; otherwise captures the
+    Replays *bundle* when it serves the engine; otherwise captures the
     engine's own workload in memory and replays that.  Returns the
-    per-core snapshots, or ``None`` when the engine's shape is not
-    eligible (see :func:`repro.cpu.capture.capture_args`); the caller
-    then runs the generic loop.  ``finalize`` is
-    :func:`repro.cpu.replay.run_replay`'s: callers that read only the
-    snapshots and the LLC side pass ``False``.
+    per-core snapshots, or ``None`` when no capture can serve the engine
+    (:func:`repro.cpu.capture.engine_identity`); the caller then runs the
+    generic loop.  ``finalize`` is :func:`repro.cpu.replay.run_replay`'s:
+    callers that read only the snapshots and the LLC side pass ``False``.
+
+    The in-memory capture has no slack: a co-runner that outlives its
+    quota continues its stream on the capture's own simulator,
+    :data:`~repro.cpu.capture.EXTENSION_STEP` accesses at a time, so
+    little is captured past the run's end.
 
     The kernels are looked up as module attributes at call time, so a
     wrapper installed on either (the benchmark tracer's) sees every call.
@@ -163,7 +167,7 @@ def run_fast(engine, bundle=None, finalize: bool = True) -> list | None:
         snapshots = replay.run_replay(engine, bundle, finalize=finalize)
         if snapshots is not None:
             return snapshots
-    args = capture.capture_args(engine)
-    if args is None:
+    identity = capture.engine_identity(engine)
+    if identity is None:
         return None
-    return replay.run_replay(engine, capture.capture_workload(*args), finalize=finalize)
+    return replay.run_replay(engine, capture.capture_workload(identity, 0.0), finalize=finalize)

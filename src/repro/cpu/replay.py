@@ -19,11 +19,11 @@ update, interval tick and timing-model counter lands in the identical
 order with identical timestamps — the two kernels are bit-for-bit
 equivalent, which the golden differential suite machine-checks.
 
-Eligibility: plain-LRU L1s, plain-DRRIP L2s, chunked trace sources and a
-bundle whose identity matches the engine; ``run_replay`` returns ``None``
-otherwise.  :func:`repro.cpu.fastpath.run_fast` is its caller: it replays
-the bundle a policy sweep hands a run, and otherwise the run's own
-in-memory capture.
+Eligibility: a bundle whose capture identity equals the engine's
+(:func:`repro.cpu.capture.engine_identity`); ``run_replay`` returns
+``None`` otherwise.  :func:`repro.cpu.fastpath.run_fast` is its caller:
+it replays the bundle a policy sweep hands a run, and otherwise the
+run's own in-memory capture.
 
 When a run outlives a captured stream (heavy completion-time skew between
 co-runners) the affected core switches to live private-level continuation
@@ -53,8 +53,6 @@ from repro.cpu.fastpath import (
     resolve_llc_dispatch,
 )
 from repro.policies.base import BYPASS
-from repro.policies.drrip import DrripPolicy
-from repro.policies.lru import LruPolicy
 
 
 #: Event/step codes shared with the capture pass — aliased (and hoisted to
@@ -65,60 +63,14 @@ EV_DEMAND, EV_BASELINE, EV_SNAPSHOT = cap.EV_DEMAND, cap.EV_BASELINE, cap.EV_SNA
 STEP_L2HIT, STEP_LLC = cap.STEP_L2HIT, cap.STEP_LLC
 
 
-def _eligible(engine, bundle) -> bool:
-    """Does *bundle* describe exactly this engine's platform and budgets?"""
-    h = engine.hierarchy
-    meta = bundle.meta
-    if meta.get("format") != cap.CAPTURE_FORMAT:
-        return False
-    if h.num_cores != meta["num_cores"] or len(bundle.tapes) != meta["num_cores"]:
-        return False
-    for cache in h.l1s:
-        if type(cache.policy) is not LruPolicy:
-            return False
-    for cache in h.l2s:
-        if type(cache.policy) is not DrripPolicy:
-            return False
-    l1, l2 = h.l1s[0], h.l2s[0]
-    if (l1.num_sets, l1.ways) != (meta["l1_sets"], meta["l1_ways"]):
-        return False
-    if (l2.num_sets, l2.ways) != (meta["l2_sets"], meta["l2_ways"]):
-        return False
-    if h.llc.num_sets != meta["llc_sets"]:
-        return False
-    if bool(h.l1_next_line_prefetch) != meta["l1_next_line_prefetch"]:
-        return False
-    if (h.l2_prefetchers is not None) != meta["l2_stride_prefetch"]:
-        return False
-    if h.l2_prefetchers is not None and (
-        h.l2_prefetchers[0].degree != meta["l2_prefetch_degree"]
-    ):
-        return False
-    if engine.warmup_accesses != meta["warmup"]:
-        return False
-    for core, source, name in zip(engine.cores, engine.sources, meta["benchmarks"]):
-        if core.quota != meta["quota"] or core.accesses != 0:
-            return False
-        # Duck-typed sources (no chunked consumption / unknown identity)
-        # and mismatched trace identities are not this bundle's run.
-        if not hasattr(source, "next_chunk"):
-            return False
-        spec = getattr(source, "spec", None)
-        if spec is None or spec.name != name:
-            return False
-        if getattr(source, "master_seed", None) != meta["master_seed"]:
-            return False
-        if type(source).CHUNK != meta["chunk"]:
-            return False
-    return True
-
-
 def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     """Run *engine* to completion by replaying a capture bundle.
 
-    Returns the per-core snapshots, or ``None`` when the engine does not
-    match the bundle (the caller must then capture the engine's own
-    workload or run the generic loop).
+    Returns the per-core snapshots, or ``None`` when the bundle cannot
+    serve the engine: its identity differs from the engine's
+    (:func:`repro.cpu.capture.engine_identity`), or its format or tape
+    count is wrong.  The caller must then capture the engine's own
+    workload or run the generic loop.
 
     With ``finalize`` (the default), the engine's private caches, sources
     and prefetchers are reconstructed to the exact policy-dependent stop
@@ -128,7 +80,8 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     ``finalize=False`` to skip that reconstruction — the private levels
     then simply keep their pristine pre-run state.
     """
-    if not _eligible(engine, bundle):
+    identity = cap.engine_identity(engine)
+    if identity is None or identity != bundle.identity():
         return None
 
     h = engine.hierarchy
@@ -136,9 +89,8 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     cores = engine.cores
     n = h.num_cores
     tapes = bundle.tapes
-    meta = bundle.meta
-    warmup = meta["warmup"]
-    finish_count = meta["quota"] + warmup
+    warmup = identity.warmup
+    finish_count = identity.quota + warmup
 
     # -- LLC state (any policy; inline what the FastPathOps allow) ----------
     llc_mask = llc.set_mask

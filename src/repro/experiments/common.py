@@ -353,11 +353,6 @@ class Runner:
         )
 
 
-def format_series(label: str, values: list[float]) -> str:
-    body = " ".join(f"{v:.3f}" for v in values)
-    return f"{label:<12} {body}"
-
-
 def geometric_mean_gain(values: list[float]) -> float:
     """Mean percentage gain of a series of baseline-relative ratios."""
     from repro.util.stats import geometric_mean

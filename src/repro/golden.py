@@ -160,11 +160,11 @@ def run_case(
     elif kernel == "replay":
         # Capture the private-level streams with an independent source set,
         # then drive the engine through the LLC-filtered replay kernel.
-        from repro.cpu.capture import capture_workload
+        from repro.cpu.capture import capture_workload, job_identity
         from repro.cpu.replay import run_replay
 
         bundle = capture_workload(
-            tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
+            job_identity(tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED)
         )
         snapshots = run_replay(engine, bundle)
         if snapshots is None:

@@ -119,19 +119,7 @@ def _run_sim(job: Job, capture: str | None):
 
 def _materialise_capture(payload: dict) -> Path:
     """Run one capture job (in a worker or inline); returns its path."""
-    return ReplayStore(payload["root"]).materialise(
-        tuple(payload["benchmarks"]),
-        _config_from(payload["config"]),
-        payload["quota"],
-        payload["warmup"],
-        payload["master_seed"],
-    )
-
-
-def _config_from(data: dict):
-    from repro.sim.config import SystemConfig
-
-    return SystemConfig.from_dict(data)
+    return ReplayStore(payload["root"]).materialise(payload["identity"])
 
 
 class ParallelRunner:
@@ -299,16 +287,15 @@ class ParallelRunner:
         """
         if len(misses) < 2:
             return [], {}
-        from repro.cpu.capture import REPLAY_SLACK
+        from repro.cpu.capture import REPLAY_SLACK, job_identity
         from repro.cpu.fastpath import fastpath_enabled
-        from repro.sim.build import capture_identity
 
         if not fastpath_enabled():
             return [], {}
         sweeps: dict[tuple, list[tuple[str, Job]]] = {}
         for key, job in misses:
             if job.kind == "workload":
-                identity = capture_identity(
+                identity = job_identity(
                     job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
                 )
                 sweeps.setdefault(identity, []).append((key, job))
@@ -324,20 +311,7 @@ class ParallelRunner:
         for identity, members in swept.items():
             rkey = replay_key(identity, REPLAY_SLACK)
             ckey = f"capture:{rkey}"
-            job = members[0][1]
-            capture_jobs.append(
-                (
-                    ckey,
-                    {
-                        "root": str(store.root),
-                        "benchmarks": list(job.benchmarks),
-                        "config": job.config.to_dict(),
-                        "quota": job.quota,
-                        "warmup": job.warmup,
-                        "master_seed": job.master_seed,
-                    },
-                )
-            )
+            capture_jobs.append((ckey, {"root": str(store.root), "identity": identity}))
             path = str(store.path_for(rkey))
             for key, _ in members:
                 routes[key] = (ckey, path)

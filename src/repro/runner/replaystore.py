@@ -9,26 +9,31 @@ replays through the LLC-filtered kernel (:mod:`repro.cpu.replay`).
 Artifacts are structured-NumPy end to end — per core a ``uint8`` step
 stream, structured event records, and the private-state checkpoints as
 one ``uint8`` member of concatenated encoded-JSON blobs with a table of
-their access indices and end offsets; plus one JSON meta blob (bundle
-identity, baseline/finish stat records).  Loading slices the checkpoint
-blobs back into ``bytes`` without decoding any: the replay kernel decodes
-only the one it restores.  Files are written atomically and addressed by
-a SHA-256 over the capture identity and ``CAPTURE_FORMAT``, so a stale,
-foreign or superseded file is simply never loaded.
+their access indices and end offsets; plus one JSON meta blob (the
+capture's meta, baseline/finish stat records).  Loading slices the
+checkpoint blobs back into ``bytes`` without decoding any: the replay
+kernel decodes only the one it restores.  Files are written atomically
+and addressed by :func:`replay_key`, a SHA-256 over the
+:class:`~repro.cpu.capture.CaptureIdentity`, the slack and
+``CAPTURE_FORMAT``, so a stale, foreign or superseded file is simply
+never loaded.
 
 The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 
-1. the parent scans a miss batch for platform identities swept by two or
-   more jobs and schedules one **capture job** per identity ahead of the
-   batch (through the same worker pool, so captures parallelise);
+1. the parent builds each miss's identity with
+   :func:`~repro.cpu.capture.job_identity`, and schedules one **capture
+   job** per identity that two or more misses share, ahead of the batch
+   (through the same worker pool, so captures parallelise); the job
+   carries the identity to :meth:`ReplayStore.materialise`;
 2. each swept sim task carries its own sweep's artifact path — known to
    the parent from :meth:`ReplayStore.path_for` — once that capture has
    succeeded, and ``None`` otherwise;
 3. :meth:`repro.runner.jobs.WorkloadJob.execute` loads the path through
    :func:`cached_bundle` (a small per-process LRU, so a worker loads each
    artifact once per sweep) and hands the bundle to
-   :func:`repro.sim.multi.run_workload`, which replays it or, when it
-   does not match, captures the run's own workload in memory;
+   :func:`repro.sim.multi.run_workload`, which replays it when its
+   identity equals the run's (:func:`~repro.cpu.capture.engine_identity`)
+   and otherwise captures the run's own workload in memory;
 4. files persist and are reused content-addressed by later invocations.
 
 Results are bit-identical whichever kernel runs a job.
@@ -51,7 +56,7 @@ from repro.runner import faults
 from repro.runner.integrity import quarantine, verify_artifact, write_checksum
 
 if TYPE_CHECKING:
-    from repro.cpu.capture import CaptureBundle
+    from repro.cpu.capture import CaptureBundle, CaptureIdentity
 
 _KEY_LEN = 40
 
@@ -60,8 +65,13 @@ _KEY_LEN = 40
 CHECKPOINT_DTYPE = np.dtype([("index", "<u8"), ("end", "<u8")])
 
 
-def replay_key(identity: tuple, slack: float) -> str:
-    """Content address of one capture artifact."""
+def replay_key(identity: CaptureIdentity, slack: float) -> str:
+    """Content address of one capture artifact.
+
+    Hashes the identity's values in field order: renaming a
+    :class:`~repro.cpu.capture.CaptureIdentity` field keeps every key,
+    reordering the fields changes them all.
+    """
     from repro.cpu.capture import CAPTURE_FORMAT
 
     blob = json.dumps(
@@ -110,30 +120,6 @@ def save_bundle(bundle: CaptureBundle, path: Path) -> None:
         except OSError:
             pass
         raise
-
-
-def identity_from_meta(meta: dict) -> tuple:
-    """Reconstruct an artifact's capture identity from its embedded meta.
-
-    Matches :func:`repro.sim.build.capture_identity` field for field, so
-    consumers (the gc pass) can recognise an on-disk artifact regardless
-    of the slack it was captured with.
-    """
-    return (
-        tuple(meta["benchmarks"]),
-        meta["l1_sets"],
-        meta["l1_ways"],
-        meta["l2_sets"],
-        meta["l2_ways"],
-        meta["llc_sets"],
-        bool(meta["l1_next_line_prefetch"]),
-        bool(meta["l2_stride_prefetch"]),
-        int(meta["l2_prefetch_degree"]) if meta["l2_stride_prefetch"] else 0,
-        int(meta["quota"]),
-        int(meta["warmup"]),
-        int(meta["master_seed"]),
-        int(meta["chunk"]),
-    )
 
 
 def load_meta(path: Path | str) -> dict | None:
@@ -203,28 +189,17 @@ class ReplayStore:
     def path_for(self, key: str) -> Path:
         return self.root / f"replay-{key}.npz"
 
-    def materialise(
-        self,
-        benchmarks: tuple[str, ...],
-        config,
-        quota: int,
-        warmup: int,
-        master_seed: int,
-    ) -> Path:
-        """Capture (or find) one artifact; returns its path."""
-        from repro.cpu.capture import REPLAY_SLACK, capture_workload
-        from repro.sim.build import capture_identity
+    def materialise(self, identity: CaptureIdentity) -> Path:
+        """Capture (or find) the artifact of *identity*; returns its path."""
+        from repro.cpu import capture
 
-        identity = capture_identity(benchmarks, config, quota, warmup, master_seed)
-        path = self.path_for(replay_key(identity, REPLAY_SLACK))
+        path = self.path_for(replay_key(identity, capture.REPLAY_SLACK))
         if path.is_file() and verify_artifact(path) is False:
             # Damage found before reuse: preserve the evidence out of the
             # live namespace and fall through to a fresh capture.
             quarantine(path, reason="replay checksum mismatch")
         if not path.is_file():
-            bundle = capture_workload(
-                tuple(benchmarks), config, quota, warmup, master_seed, REPLAY_SLACK
-            )
+            bundle = capture.capture_workload(identity, capture.REPLAY_SLACK)
             save_bundle(bundle, path)
             write_checksum(path)
             faults.corrupt_artifact("replay", path, path.name)

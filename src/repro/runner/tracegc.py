@@ -101,11 +101,11 @@ def _referenced(store: ResultStore) -> tuple[int, set[tuple]]:
 
     Returns ``(results scanned, replay-capture identities)``.  Replay
     artifacts are matched by the *identity* embedded in each file — not
-    by recomputing the content address — because the slack factor is
-    part of the address and may differ between the sweeps that wrote an
-    artifact and the gc environment.
+    by recomputing the content address — because the slack is part of
+    the address: an artifact an older build wrote under another slack
+    stays in use while a stored result references its identity.
     """
-    from repro.sim.build import capture_identity
+    from repro.cpu.capture import job_identity
 
     scanned = 0
     identities: set[tuple] = set()
@@ -114,7 +114,7 @@ def _referenced(store: ResultStore) -> tuple[int, set[tuple]]:
         scanned += 1
         if job.kind == "workload":
             identities.add(
-                capture_identity(
+                job_identity(
                     job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
                 )
             )
@@ -193,8 +193,8 @@ def collect_garbage(
     ``traces/quarantine/`` so the next sweep regenerates them; without it
     they are only reported.
     """
-    from repro.cpu.capture import CAPTURE_FORMAT
-    from repro.runner.replaystore import identity_from_meta, load_meta
+    from repro.cpu.capture import CAPTURE_FORMAT, CaptureIdentity
+    from repro.runner.replaystore import load_meta
 
     store = ResultStore(results_dir)
     scanned, replay_identities = _referenced(store)
@@ -227,7 +227,7 @@ def collect_garbage(
                 if (
                     meta is not None
                     and meta.get("format") == CAPTURE_FORMAT
-                    and identity_from_meta(meta) in replay_identities
+                    and CaptureIdentity.from_meta(meta) in replay_identities
                 ):
                     if _is_corrupt(path):
                         corrupt.append(path.name)

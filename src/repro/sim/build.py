@@ -120,40 +120,6 @@ def geometry_of(config: SystemConfig) -> Geometry:
     )
 
 
-def capture_identity(
-    benchmarks: tuple[str, ...],
-    config: SystemConfig,
-    quota: int,
-    warmup: int,
-    master_seed: int,
-) -> tuple:
-    """Identity of one replay-capture artifact.
-
-    Everything the captured private-level streams depend on — trace
-    identities, private-cache geometry, prefetch configuration and run
-    budgets — and nothing they don't: the LLC policy, LLC associativity
-    and every latency live on the replay side, so a whole policy sweep
-    (and LLC-way studies on the same set count) shares one capture.
-    """
-    if config.num_cores != len(benchmarks):
-        config = config.with_cores(len(benchmarks))
-    return (
-        tuple(benchmarks),
-        config.l1.num_sets,
-        config.l1.ways,
-        config.l2.num_sets,
-        config.l2.ways,
-        config.llc.num_sets,
-        bool(config.l1_next_line_prefetch),
-        bool(config.l2_stride_prefetch),
-        int(config.l2_prefetch_degree) if config.l2_stride_prefetch else 0,
-        int(quota),
-        int(warmup),
-        int(master_seed),
-        TraceSource.CHUNK,
-    )
-
-
 def build_sources(
     workload: Workload, config: SystemConfig, master_seed: int = 0
 ) -> list[TraceSource]:

@@ -207,13 +207,6 @@ def require_target(name: str, directory: str | Path | None = None) -> TargetSpec
     return spec
 
 
-def registered_buffer_names(directory: str | Path) -> set[str]:
-    """Buffer file names ``targets.json`` pins (the gc keep-set)."""
-    return {
-        f"target-{spec.key}.npy" for spec in load_registry(directory).values()
-    }
-
-
 # -- the trace source ----------------------------------------------------------
 
 #: Path -> mapped buffer; every source over the same target in a process

@@ -11,16 +11,20 @@
   capture to byte-identical artifacts, in memory and after a save/load
   round trip (checkpoints embed the complete private-level state, so
   this is state-for-state reproducibility);
-* **engine captures** — an engine's own in-memory capture
-  (:func:`repro.cpu.capture.capture_args`) records the same streams as
-  a capture of its configuration, and engines it cannot rebuild faithfully
-  are refused;
+* **capture identity** — the job builder, the engine builder, a saved
+  artifact's meta and an in-memory capture's meta give one identity, the
+  artifact keys it hashes to are pinned, and only the capture module
+  spells its fields;
+* **engine captures** — an engine's own slack-free capture grows its
+  streams only as far as the run, and engines it cannot rebuild
+  faithfully are refused;
 * **fixed slack** — the retired ``REPRO_REPLAY_SLACK`` and
   ``REPRO_NO_REPLAY`` names change neither the artifact key nor a result.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import tempfile
 from dataclasses import replace
@@ -46,12 +50,12 @@ from repro.golden import (
 from repro.runner import ParallelRunner, WorkloadJob, replaystore
 from repro.runner.replaystore import (
     ReplayStore,
-    identity_from_meta,
     load_bundle,
+    load_meta,
     replay_key,
     save_bundle,
 )
-from repro.sim.build import build_hierarchy, build_sources, capture_identity
+from repro.sim.build import build_hierarchy, build_sources
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.trace.workloads import Workload
 from tests.golden.test_golden_master import CASE_IDS, CASES, _load
@@ -116,7 +120,7 @@ class TestSweepRouting:
     ):
         config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
         path = golden_store.materialise(
-            tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
+            cap.job_identity(benchmarks, config, QUOTA, WARMUP, MASTER_SEED)
         )
         job = WorkloadJob.for_workload(
             Workload(workload, tuple(benchmarks)),
@@ -199,9 +203,11 @@ class TestCaptureDeterminism:
         self, benchmarks, seed, quota, warmup, prefetch, slack
     ):
         benchmarks = tuple(benchmarks)
-        config = _config(len(benchmarks), prefetch)
-        first = cap.capture_workload(benchmarks, config, quota, warmup, seed, slack)
-        second = cap.capture_workload(benchmarks, config, quota, warmup, seed, slack)
+        identity = cap.job_identity(
+            benchmarks, _config(len(benchmarks), prefetch), quota, warmup, seed
+        )
+        first = cap.capture_workload(identity, slack)
+        second = cap.capture_workload(identity, slack)
         assert _bundle_blob(first) == _bundle_blob(second)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "replay-prop.npz"
@@ -210,12 +216,69 @@ class TestCaptureDeterminism:
         assert loaded is not None
         assert _bundle_blob(loaded) == _bundle_blob(first)
 
-    def test_meta_reconstructs_the_capture_identity(self):
-        config = _config(2, True)
-        bundle = cap.capture_workload(("mcf", "libq"), config, 200, 50, 3)
-        assert identity_from_meta(bundle.meta) == capture_identity(
-            ("mcf", "libq"), config, 200, 50, 3
+
+# -- capture identity ----------------------------------------------------------
+
+#: Artifact keys of ``("mcf", "libq")`` on the golden platforms at the
+#: golden budgets and seed 0.  Every stored ``replay-*.npz`` is named by
+#: such a key, so a change here orphans every existing ``traces/`` store.
+PINNED_KEYS = {
+    "base": "63609e52d7ed9cfe880a87ef3af113fc1037fb3e",
+    "prefetch": "bdd81d288351421b1a93fe370ca72aced37e3d3c",
+}
+
+
+class TestCaptureIdentity:
+    @pytest.mark.parametrize("platform", sorted(GOLDEN_PLATFORMS))
+    def test_builders_and_meta_agree(self, platform, tmp_path):
+        config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
+        benchmarks = ("mcf", "libq")
+        job = cap.job_identity(benchmarks, config, QUOTA, WARMUP, MASTER_SEED)
+        engine = MulticoreEngine(
+            build_hierarchy(config, "lru"),
+            build_sources(Workload("g", benchmarks), config, MASTER_SEED),
+            quota_per_core=QUOTA,
+            warmup_accesses=WARMUP,
         )
+        assert cap.engine_identity(engine) == job
+        # Both routes record the identity as built, field for field: the
+        # stride degree reads 0 on a platform without stride prefetchers.
+        fields = {**job._asdict(), "benchmarks": list(benchmarks)}
+        saved = load_meta(ReplayStore(tmp_path).materialise(job))
+        in_memory = cap.capture_workload(cap.engine_identity(engine), 0.0).meta
+        for meta in (saved, in_memory):
+            assert {name: meta[name] for name in job._fields} == fields
+            assert cap.CaptureIdentity.from_meta(meta) == job
+        if not config.l2_stride_prefetch:
+            assert config.l2_prefetch_degree != 0 and job.l2_prefetch_degree == 0
+
+    def test_meta_of_older_builds_reads_degree_zero_without_stride(self):
+        """Older builds saved the configured degree with stride prefetch off;
+        such an artifact still serves the identity it was named by."""
+        job = cap.job_identity(("mcf", "libq"), golden_config(), QUOTA, WARMUP, 0)
+        meta = {**job._asdict(), "l2_prefetch_degree": 2}
+        assert cap.CaptureIdentity.from_meta(meta) == job
+
+    @pytest.mark.parametrize("platform", sorted(PINNED_KEYS))
+    def test_artifact_keys_are_pinned(self, platform):
+        config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
+        identity = cap.job_identity(("mcf", "libq"), config, QUOTA, WARMUP, 0)
+        assert replay_key(identity, cap.REPLAY_SLACK) == PINNED_KEYS[platform]
+
+    def test_fields_are_named_in_one_module(self):
+        """Only :mod:`repro.cpu.capture` spells the identity's platform
+        fields: every other module derives from its builders."""
+        src = Path(cap.__file__).parents[1]
+        literals = {
+            "l1_sets", "l1_ways", "l2_sets", "l2_ways", "llc_sets", "l2_prefetch_degree"
+        }
+        assert literals <= set(cap.CaptureIdentity._fields)
+        spelled = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value in literals:
+                    spelled.add(path.relative_to(src.parent).as_posix())
+        assert spelled <= {"repro/cpu/capture.py"}
 
 
 # -- engine captures -----------------------------------------------------------
@@ -233,32 +296,11 @@ class TestEngineCapture:
             warmup_accesses=self.WARMUP,
         )
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_matches_the_configured_capture(self, prefetch):
-        config = _config(2, prefetch)
-        engine = self._engine(config)
-        args = cap.capture_args(engine)
-        assert args == (
-            ("mcf", "libq"), engine.hierarchy, self.QUOTA, self.WARMUP, self.SEED, 0.0
-        )
-        own = _bundle_blob(cap.capture_workload(*args))
-        configured = _bundle_blob(
-            cap.capture_workload(
-                ("mcf", "libq"), config, self.QUOTA, self.WARMUP, self.SEED, 0.0
-            )
-        )
-        # The stride degree is recorded only where the prefetchers exist.
-        if not prefetch:
-            configured["meta"] = configured["meta"].replace(
-                '"l2_prefetch_degree": 2', '"l2_prefetch_degree": 0'
-            )
-        assert own == configured
-
     @pytest.mark.parametrize("benchmarks", [("mcf",), ("mcf", "libq", "gcc")])
     def test_streams_grow_only_as_far_as_the_run(self, benchmarks):
         config = _config(len(benchmarks), True)
         engine = self._engine(config, benchmarks)
-        bundle = cap.capture_workload(*cap.capture_args(engine))
+        bundle = cap.capture_workload(cap.engine_identity(engine), 0.0)
         finish = self.QUOTA + self.WARMUP
         assert all(tape.length == finish for tape in bundle.tapes)
         sims = [tape.live_sim for tape in bundle.tapes]
@@ -278,18 +320,18 @@ class TestEngineCapture:
         config = _config(2, False)
         engine = self._engine(config)
         engine.sources[1].next_access()  # already read from
-        assert cap.capture_args(engine) is None
+        assert cap.engine_identity(engine) is None
         engine = self._engine(config)
         engine.sources.reverse()  # each built for the other core
-        assert cap.capture_args(engine) is None
+        assert cap.engine_identity(engine) is None
         engine = self._engine(config)
         engine.sources = build_sources(
             Workload("e", ("mcf", "libq")), replace(config, l1=config.l2), self.SEED
         )  # calibrated for another geometry
-        assert cap.capture_args(engine) is None
+        assert cap.engine_identity(engine) is None
         engine = self._engine(config)
         engine.hierarchy.l2s[0].policy = engine.hierarchy.llc.policy
-        assert cap.capture_args(engine) is None
+        assert cap.engine_identity(engine) is None
 
 
 # -- fixed slack ---------------------------------------------------------------
@@ -321,7 +363,7 @@ class TestRetiredReplaySwitches:
             return results, artifacts
 
         job = (("mcf", "libq"), tiny_config.with_cores(2), 300, 100, 0)
-        expected_key = replay_key(capture_identity(*job), cap.REPLAY_SLACK)
+        expected_key = replay_key(cap.job_identity(*job), cap.REPLAY_SLACK)
         default = sweep()
         assert default[1] == [f"replay-{expected_key}.npz"]
         monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")

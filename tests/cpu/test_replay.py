@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cpu import capture as cap
-from repro.cpu.capture import CoreTape, capture_workload
+from repro.cpu.capture import CoreTape, capture_workload, job_identity
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
 from repro.golden import QUOTA, WARMUP, golden_config
@@ -27,7 +27,7 @@ from repro.runner.replaystore import (
     replay_key,
     save_bundle,
 )
-from repro.sim.build import build_hierarchy, build_sources, capture_identity
+from repro.sim.build import build_hierarchy, build_sources
 from repro.trace.workloads import Workload
 
 #: Bound on a loaded bundle's traced heap over its artifact's file size.
@@ -35,6 +35,8 @@ LOADED_BUNDLE_SIZE_RATIO = 1.2
 
 BENCHMARKS = ("mcf", "libq")
 WORKLOAD = Workload("g", BENCHMARKS)
+#: The capture identity of the suite's golden-platform engines.
+GOLDEN = job_identity(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +61,7 @@ def _engine(policy="tadrrip", config=None, quota=QUOTA, warmup=WARMUP):
 
 @pytest.fixture(scope="module")
 def bundle():
-    return capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
+    return capture_workload(GOLDEN)
 
 
 class TestCapture:
@@ -108,7 +110,7 @@ class TestCapture:
     def test_one_bundle_serves_a_policy_sweep(self):
         # The sweep shape: one capture, replayed policy after policy (live
         # tail extensions accumulating in the shared bundle).
-        shared = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
+        shared = capture_workload(GOLDEN)
         for policy in ("lru", "ship", "eaf", "adapt_bp32", "tadrrip+bp"):
             expected = _engine(policy).run()
             assert run_replay(_engine(policy), shared) == expected, policy
@@ -170,11 +172,44 @@ class TestEligibility:
         engine = _engine(config=replace(golden_config(), l2=l2))
         assert run_replay(engine, bundle) is None
 
+    def test_sources_built_for_another_geometry_fall_back(self, bundle):
+        """The hierarchy matches the bundle, but its sources were calibrated
+        for other private levels: a capture rebuilds the sources from the
+        hierarchy's geometry, so it cannot serve this engine."""
+        from dataclasses import replace
+
+        from repro.sim.config import CacheLevelConfig
+
+        config = golden_config()
+        other = replace(
+            config,
+            l1=CacheLevelConfig(num_sets=8, ways=16, latency=3.0),
+            l2=CacheLevelConfig(num_sets=64, ways=16, latency=14.0),
+        )
+
+        def engine():
+            return MulticoreEngine(
+                build_hierarchy(config, "ship"),
+                build_sources(WORKLOAD, other, 0),
+                quota_per_core=QUOTA,
+                interval_misses=config.effective_interval,
+                warmup_accesses=WARMUP,
+            )
+
+        assert run_replay(engine(), bundle) is None
+        assert engine().run(bundle=bundle) == engine()._run_generic()
+
     def test_foreign_format_falls_back(self, bundle):
         from repro.cpu.capture import CaptureBundle
 
         foreign = CaptureBundle(dict(bundle.meta, format=-1), bundle.tapes)
         assert run_replay(_engine(), foreign) is None
+
+    def test_missing_tape_falls_back(self, bundle):
+        from repro.cpu.capture import CaptureBundle
+
+        short = CaptureBundle(bundle.meta, bundle.tapes[:1])
+        assert run_replay(_engine(), short) is None
 
     def test_duck_typed_source_falls_back(self, bundle):
         class _NextAccessOnly:
@@ -215,7 +250,7 @@ class TestEligibility:
 class TestLiveTail:
     def test_zero_slack_run_extends_tape_and_stays_exact(self):
         expected = _engine("dip").run()
-        lean = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0)
+        lean = capture_workload(GOLDEN, slack=0.0)
         assert lean.meta["length"] == QUOTA + WARMUP
         engine = _engine("dip")
         got = run_replay(engine, lean)
@@ -258,7 +293,7 @@ class TestLlcSilentCore:
 
         expected = engine("ship").run()
         bundle = capture_workload(
-            ("twolf", "mcf"), config, 1200, 300, 0, slack=0.0
+            job_identity(("twolf", "mcf"), config, 1200, 300, 0), slack=0.0
         )
         assert run_replay(engine("ship"), bundle) == expected
         tape = bundle.tapes[0]
@@ -316,19 +351,19 @@ class TestArtifactStore:
     def test_materialise_is_content_addressed_and_reused(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path)
         config = golden_config()
-        path = store.materialise(BENCHMARKS, config, 200, 50, 0)
-        ident = capture_identity(BENCHMARKS, config, 200, 50, 0)
+        ident = job_identity(BENCHMARKS, config, 200, 50, 0)
+        path = store.materialise(ident)
         assert path == store.path_for(replay_key(ident, cap.REPLAY_SLACK))
         assert path == tmp_path / f"replay-{replay_key(ident, 0.25)}.npz"
         # A second materialise reuses the file: no capture runs.
         monkeypatch.setattr(cap, "capture_workload", None)
-        assert store.materialise(BENCHMARKS, config, 200, 50, 0) == path
+        assert store.materialise(ident) == path
 
     def test_bundle_cache_loads_each_path_once(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path)
         config = golden_config()
-        first = str(store.materialise(BENCHMARKS, config, 200, 50, 0))
-        second = str(store.materialise(BENCHMARKS, config, 200, 51, 0))
+        first = str(store.materialise(job_identity(BENCHMARKS, config, 200, 50, 0)))
+        second = str(store.materialise(job_identity(BENCHMARKS, config, 200, 51, 0)))
         loads = REGISTRY_STATS["bundle_loads"]
         bundle = cached_bundle(first)
         assert bundle is not None and bundle.meta["warmup"] == 50
@@ -486,7 +521,7 @@ class TestTapeArrays:
     def test_extending_a_loaded_bundle_appends_in_place(self, tmp_path):
         path = tmp_path / "replay-lean.npz"
         save_bundle(
-            capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack=0.0),
+            capture_workload(GOLDEN, slack=0.0),
             path,
         )
         loaded = load_bundle(path)
@@ -506,7 +541,7 @@ class TestTapeArrays:
         assert sum(len(t.ev_step) for t in loaded.tapes) > sum(before)
         # The appended events are exactly what a longer capture records.
         slack = -(-chunk // (QUOTA + WARMUP))
-        longer = capture_workload(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0, slack)
+        longer = capture_workload(GOLDEN, slack)
         for tape, ref in zip(loaded.tapes, longer.tapes):
             n = len(tape.ev_step)
             assert tape.events_array().tobytes() == ref.events_array()[:n].tobytes()

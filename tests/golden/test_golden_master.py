@@ -115,7 +115,7 @@ def stored_artifact(tmp_path_factory):
     """
     from dataclasses import replace
 
-    from repro.cpu.capture import capture_workload
+    from repro.cpu.capture import capture_workload, job_identity
     from repro.golden import GOLDEN_PLATFORMS, MASTER_SEED, QUOTA, WARMUP
     from repro.runner.replaystore import save_bundle
 
@@ -127,7 +127,7 @@ def stored_artifact(tmp_path_factory):
         if key not in paths:
             config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
             bundle = capture_workload(
-                tuple(benchmarks), config, QUOTA, WARMUP, MASTER_SEED
+                job_identity(benchmarks, config, QUOTA, WARMUP, MASTER_SEED)
             )
             path = root / f"replay-{len(paths)}.npz"
             save_bundle(bundle, path)

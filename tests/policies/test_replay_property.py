@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.capture import capture_workload
+from repro.cpu.capture import capture_workload, job_identity
 from repro.cpu.engine import MulticoreEngine
 from repro.cpu.replay import run_replay
 from repro.golden import golden_config
@@ -88,7 +88,7 @@ def test_replay_matches_generic_policy_state(
     expected = _observe(reference, reference._run_generic())
 
     bundle = capture_workload(
-        benchmarks, _config(prefetch), quota, warmup, seed, slack=slack
+        job_identity(benchmarks, _config(prefetch), quota, warmup, seed), slack=slack
     )
     engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     replayed = run_replay(engine, bundle)
@@ -126,7 +126,7 @@ def test_replay_matches_generic_residency(
     expected = _observe_residency(reference, reference._run_generic())
 
     bundle = capture_workload(
-        benchmarks, _config(prefetch), quota, warmup, seed, slack=slack
+        job_identity(benchmarks, _config(prefetch), quota, warmup, seed), slack=slack
     )
     engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     replayed = run_replay(engine, bundle)

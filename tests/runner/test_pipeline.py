@@ -16,12 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cpu.capture import REPLAY_SLACK
+from repro.cpu.capture import REPLAY_SLACK, job_identity
 from repro.runner import AloneJob, ParallelRunner, ResultStore, WorkloadJob
 from repro.runner import parallel, replaystore
 from repro.runner.replaystore import ReplayStore, replay_key
 from repro.runner.supervisor import RetryPolicy, Supervisor
-from repro.sim.build import capture_identity
 from repro.trace.workloads import Workload
 
 QUOTA = 400
@@ -69,7 +68,7 @@ def _direct(jobs):
 
 def _artifact(root, job) -> str:
     """The path the parent plans for *job*'s sweep under *root*."""
-    identity = capture_identity(
+    identity = job_identity(
         job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
     )
     return str(ReplayStore(root).path_for(replay_key(identity, REPLAY_SLACK)))
@@ -229,7 +228,7 @@ class TestCaptureFailureDegradation:
     ):
         jobs = _sweep(tiny_config, ("lru", "adapt"), mixes=("thrash", "friendly"))
         thrash = next(job for job in jobs if job.workload_name == "thrash")
-        identity = capture_identity(
+        identity = job_identity(
             thrash.benchmarks, thrash.config, QUOTA, WARMUP, thrash.master_seed
         )
         # The fault grammar splits on ":", so match on the hex key alone —

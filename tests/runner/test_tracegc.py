@@ -65,15 +65,14 @@ class TestCollectGarbage:
         """Artifacts are matched by their embedded capture identity, so a
         capture written with another slack (which changes the content
         address) is kept while a stored result references its identity."""
-        from repro.cpu.capture import capture_workload
+        from repro.cpu.capture import capture_workload, job_identity
         from repro.runner.replaystore import replay_key, save_bundle
-        from repro.sim.build import capture_identity
 
         traces = populated_store / "traces"
         config = SystemConfig.scaled(16).with_cores(2)
-        job = (("mcf", "libq"), config, 300, 80, 0)
-        other = traces / f"replay-{replay_key(capture_identity(*job), 0.9)}.npz"
-        save_bundle(capture_workload(*job, slack=0.9), other)
+        identity = job_identity(("mcf", "libq"), config, 300, 80, 0)
+        other = traces / f"replay-{replay_key(identity, 0.9)}.npz"
+        save_bundle(capture_workload(identity, slack=0.9), other)
         write_checksum(other)
         before = {p.name for p in traces.glob("replay-*.npz")}
         assert len(before) == 2 and other.name in before
@@ -189,10 +188,10 @@ def _legacy_buffer_name(job, core_id: int) -> str:
 def _save_format1(bundle, traces: Path) -> Path:
     """Write *bundle* as format-1 builds did: checkpoints decoded inside
     the JSON meta blob, under the content address format 1 gave it."""
-    from repro.sim.build import capture_identity
+    from repro.cpu.capture import job_identity
 
     meta = dict(bundle.meta, format=1)
-    identity = capture_identity(
+    identity = job_identity(
         tuple(meta["benchmarks"]),
         SystemConfig.scaled(16).with_cores(2),
         meta["quota"],

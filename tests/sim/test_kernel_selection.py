@@ -67,7 +67,8 @@ def _clean_env(monkeypatch):
 def artifact(tmp_path_factory):
     """The seed-0 capture of the suite's workload, on disk."""
     store = ReplayStore(tmp_path_factory.mktemp("selection"))
-    return str(store.materialise(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0))
+    identity = capture.job_identity(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
+    return str(store.materialise(identity))
 
 
 def _run(bundle=None, seed=0) -> dict:
@@ -193,7 +194,7 @@ class TestRunWorkloadRouting:
 
     def test_damaged_artifact_captures_in_memory(self, tmp_path, monkeypatch):
         path = ReplayStore(tmp_path).materialise(
-            BENCHMARKS, golden_config(), QUOTA, WARMUP, 0
+            capture.job_identity(BENCHMARKS, golden_config(), QUOTA, WARMUP, 0)
         )
         with open(path, "r+b") as fh:
             fh.seek(64)
