@@ -42,9 +42,9 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from repro import settings
 from repro.cpu.capture import capture_workload, job_identity
 from repro.cpu.engine import MulticoreEngine
-from repro.experiments.common import scale_factor
 from repro.sim.build import build_hierarchy, build_sources
 from repro.sim.config import SystemConfig
 from repro.trace.workloads import Workload, design_suite
@@ -57,7 +57,7 @@ _SPEEDUPS: dict[str, dict[str, float]] = {}
 
 
 def _scenario(name: str):
-    scale = max(0.1, min(scale_factor(), 1.0))
+    scale = min(settings.current().scale, 1.0)
     quota = max(2_000, round(BASE_QUOTA * scale))
     if name == "hot_loop":
         config = SystemConfig.scaled(16).with_cores(1)

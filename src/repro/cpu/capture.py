@@ -100,18 +100,23 @@ _TARGET_CHECKPOINTS = 24
 class CaptureIdentity(NamedTuple):
     """Everything a capture's streams depend on, and nothing they don't.
 
-    Trace names, private-level geometry, prefetch configuration, run
-    budgets, seed and chunk size.  The LLC policy, LLC associativity and
-    every latency live on the replay side, so a whole policy sweep (and
-    LLC-way studies on the same set count) shares one capture.  The field
+    Traces, private-level geometry, prefetch configuration, run budgets,
+    seed and chunk size.  A synthetic trace is its benchmark name; an
+    ingested one is its registered
+    :class:`~repro.targets.registry.TargetSpec` (the buffer's content key
+    and the core-model parameters its source reads), so re-ingesting a
+    ``tgt:`` name under other content changes the identity.  The LLC
+    policy, LLC associativity and every latency live on the replay side,
+    so a whole policy sweep (and LLC-way studies on the same set count)
+    shares one capture.  The field
     order is the one :func:`repro.runner.replaystore.replay_key` hashes,
     so it is part of every artifact's name.
 
-    A capture's meta is these fields plus ``format``, ``slack`` and
-    ``length``.
+    A capture's meta is these fields (:meth:`to_meta`) plus ``format``,
+    ``slack`` and ``length``.
     """
 
-    benchmarks: tuple[str, ...]
+    benchmarks: tuple
     l1_sets: int
     l1_ways: int
     l2_sets: int
@@ -126,11 +131,19 @@ class CaptureIdentity(NamedTuple):
     master_seed: int
     chunk: int
 
+    def to_meta(self) -> dict:
+        """The fields as JSON values (:meth:`from_meta` inverts it)."""
+        fields = self._asdict()
+        fields["benchmarks"] = [
+            name if isinstance(name, str) else name.to_dict() for name in self.benchmarks
+        ]
+        return fields
+
     @classmethod
     def from_meta(cls, meta: dict) -> CaptureIdentity:
         """The identity a capture's meta records."""
         fields = {name: meta[name] for name in cls._fields}
-        fields["benchmarks"] = tuple(fields["benchmarks"])
+        fields["benchmarks"] = tuple(map(_trace_from_meta, fields["benchmarks"]))
         if not fields["l2_stride_prefetch"]:
             # Older builds saved the configured degree here.
             fields["l2_prefetch_degree"] = 0
@@ -145,10 +158,24 @@ class CaptureIdentity(NamedTuple):
         )
 
 
+def _trace_from_meta(entry: str | dict):
+    """One trace of :meth:`CaptureIdentity.to_meta`'s ``benchmarks``."""
+    if isinstance(entry, str):
+        return entry
+    # Imported only for a target: it loads the whole targets package.
+    from repro.targets.registry import TargetSpec
+
+    return TargetSpec.from_dict(entry)
+
+
 def job_identity(
-    benchmarks: tuple[str, ...], config, quota: int, warmup: int, master_seed: int
+    benchmarks: tuple, config, quota: int, warmup: int, master_seed: int
 ) -> CaptureIdentity:
-    """The identity of a job's capture: *benchmarks* on *config*'s platform."""
+    """The identity of a job's capture: *benchmarks* on *config*'s platform.
+
+    *benchmarks* holds each core's trace as the identity does
+    (:meth:`repro.runner.jobs.WorkloadJob.traces`).
+    """
     stride = bool(config.l2_stride_prefetch)
     return CaptureIdentity(
         tuple(benchmarks),
@@ -171,7 +198,7 @@ def engine_identity(engine) -> CaptureIdentity | None:
     """The identity of the capture that can serve *engine*, or ``None``.
 
     A capture simulates plain-LRU L1s and plain-DRRIP L2s and rebuilds each
-    core's source from its trace name, so it serves only cores that have
+    core's source from its trace, so it serves only cores that have
     not run yet, with one quota, fed by unread chunked sources that name
     their trace and were built for their own core, one seed and the
     hierarchy's geometry.  Any other engine runs the generic loop;
@@ -217,7 +244,7 @@ def engine_identity(engine) -> CaptureIdentity | None:
             or core.accesses
         ):
             return None
-        names.append(spec.name)
+        names.append(spec if getattr(spec, "kind", None) == "target" else spec.name)
     return identity._replace(benchmarks=tuple(names))
 
 
@@ -900,8 +927,7 @@ def capture_workload(identity: CaptureIdentity, slack: float = REPLAY_SLACK) -> 
     finish = identity.quota + warmup
     n_cap = finish + int(round(slack * finish))
     interval = _checkpoint_interval(n_cap)
-    meta = {"format": CAPTURE_FORMAT, **identity._asdict(), "slack": slack, "length": n_cap}
-    meta["benchmarks"] = list(identity.benchmarks)  # as it reads back from JSON
+    meta = {"format": CAPTURE_FORMAT, **identity.to_meta(), "slack": slack, "length": n_cap}
     geometry = identity.geometry()
 
     tapes: list[CoreTape] = []

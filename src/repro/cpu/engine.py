@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+from repro import settings
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu import fastpath
 from repro.cpu.core import CoreSnapshot, CoreState
@@ -56,7 +57,6 @@ class MulticoreEngine:
         "sources",
         "cores",
         "interval_misses",
-        "first_interval_divisor",
         "warmup_accesses",
         "_baselines",
         "_miss_clock",
@@ -71,7 +71,6 @@ class MulticoreEngine:
         quota_per_core: int,
         interval_misses: int | None = None,
         warmup_accesses: int = 0,
-        first_interval_divisor: int = 1,
     ) -> None:
         if len(sources) != hierarchy.num_cores:
             raise ValueError("need exactly one trace source per core")
@@ -83,11 +82,6 @@ class MulticoreEngine:
         if interval_misses is None:
             interval_misses = 4 * hierarchy.llc.num_blocks
         self.interval_misses = interval_misses
-        # Optionally shorten the very first interval (footprints measured
-        # over a short window are proportionally smaller, so this trades
-        # classification quality for speed of first decision — kept at 1,
-        # i.e. disabled, by default; exposed for the interval ablation).
-        self.first_interval_divisor = max(1, first_interval_divisor)
         self.warmup_accesses = warmup_accesses
         self._baselines = [_Baseline() for _ in self.cores]
         self._miss_clock = 0
@@ -135,20 +129,21 @@ class MulticoreEngine:
         """Run warm-up then measurement to completion; one snapshot per core.
 
         The one place a kernel is chosen.  Unless ``force_generic`` or the
-        ``REPRO_NO_FASTPATH`` environment variable pins the generic loop,
-        the run goes to capture + replay (:func:`repro.cpu.fastpath.run_fast`):
-        it replays *bundle*, a policy sweep's shared capture, when that
-        matches this engine, and otherwise captures this engine's own
-        workload in memory first.  An engine the capture cannot serve
-        falls back to the generic loop.  Behaviour is bit-for-bit
-        identical either way (machine-checked by the golden-master suite).
+        ``REPRO_NO_FASTPATH`` switch (:mod:`repro.settings`) pins the
+        generic loop, the run goes to capture + replay
+        (:func:`repro.cpu.fastpath.run_fast`): it replays *bundle*, a
+        policy sweep's shared capture, when that matches this engine, and
+        otherwise captures this engine's own workload in memory first.  An
+        engine the capture cannot serve falls back to the generic loop.
+        Behaviour is bit-for-bit identical either way (machine-checked by
+        the golden-master suite).
 
         With ``finalize`` (the default) the private caches, sources and
         prefetchers end exactly where the generic loop leaves them.
         Callers that read only the snapshots and the LLC side pass
         ``finalize=False`` to skip that reconstruction.
         """
-        if not force_generic and fastpath.fastpath_enabled():
+        if not force_generic and not settings.current().no_fastpath:
             snapshots = fastpath.run_fast(self, bundle, finalize)
             if snapshots is not None:
                 return snapshots
@@ -160,8 +155,7 @@ class MulticoreEngine:
         access = hierarchy.access
         l1_latency = hierarchy.l1_latency
         llc_policy = hierarchy.llc.policy
-        interval = self.interval_misses // self.first_interval_divisor
-        full_interval = self.interval_misses
+        interval = self.interval_misses
         warmup = self.warmup_accesses
         cores = self.cores
         remaining = len(cores)
@@ -191,7 +185,6 @@ class MulticoreEngine:
                     llc_policy.end_interval()
                     self._miss_clock = 0
                     self.intervals_completed += 1
-                    interval = full_interval
 
             if warming and core.accesses == warmup:
                 self._record_baseline(core, next_t)

@@ -3,9 +3,9 @@
 The engine has two kernels: the generic reference loop
 (:meth:`repro.cpu.engine.MulticoreEngine._run_generic`) and capture +
 replay.  :meth:`~repro.cpu.engine.MulticoreEngine.run` is the one place
-that picks between them: it calls :func:`run_fast` unless
-``REPRO_NO_FASTPATH`` is set (:func:`fastpath_enabled`), and falls back to
-the generic loop when that returns ``None``.
+that picks between them: it calls :func:`run_fast` unless the
+``REPRO_NO_FASTPATH`` switch (:mod:`repro.settings`) is set, and falls
+back to the generic loop when that returns ``None``.
 
 :func:`run_fast` replays the capture bundle it is handed
 (:mod:`repro.cpu.replay`) when the bundle matches the engine — the policy
@@ -23,8 +23,6 @@ protocol.
 
 from __future__ import annotations
 
-import os
-
 from repro.policies.base import ReplacementPolicy
 
 #: Inline-dispatch modes for the LLC hit/victim/fill hooks.
@@ -33,11 +31,6 @@ _CALL, _RRIP, _STACK, _SHIP, _ADAPT = 0, 1, 2, 3, 4
 _EV_NONE, _EV_CALL, _EV_SHIP, _EV_EAF = 0, 1, 2, 3
 
 _MASK64 = (1 << 64) - 1
-
-
-def fastpath_enabled() -> bool:
-    """Fast path is on unless ``REPRO_NO_FASTPATH`` is set (differential runs)."""
-    return not os.environ.get("REPRO_NO_FASTPATH")
 
 
 class LlcDispatch:

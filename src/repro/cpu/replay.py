@@ -221,8 +221,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         dram_busy[bank] = bstart + dram_occ
 
     # -- engine bookkeeping --------------------------------------------------
-    interval = engine.interval_misses // engine.first_interval_divisor
-    full_interval = engine.interval_misses
+    interval = engine.interval_misses
     no_warmup = warmup == 0
     baselines = engine._baselines
     remaining = n
@@ -716,7 +715,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         def process(t):
             """Process the pending event group; returns the next event time
             (or ``None`` once the whole run has completed)."""
-            nonlocal miss_clock, intervals_completed, interval, remaining
+            nonlocal miss_clock, intervals_completed, remaining
             nonlocal idx, t_clock, p, e_cur
             e = e_cur
             if e < 0:
@@ -780,7 +779,6 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
                     end_interval()
                     miss_clock = 0
                     intervals_completed += 1
-                    interval = full_interval
 
             if saw_baseline:
                 rec = tape.baseline

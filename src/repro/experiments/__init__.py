@@ -31,7 +31,6 @@ __getattr__, __dir__ = lazy_exports(
             "FIGURE_POLICIES",
             "ExperimentSettings",
             "Runner",
-            "scale_factor",
         ),
         "repro.experiments.fig1": (
             "Fig1Result",
@@ -58,7 +57,6 @@ __all__ = [
     "FIGURE_POLICIES",
     "ExperimentSettings",
     "Runner",
-    "scale_factor",
     "Fig1Result",
     "forced_tadrrip",
     "forced_tadrrip_spec",

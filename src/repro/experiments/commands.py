@@ -51,8 +51,8 @@ def _settings_from(args) -> ExperimentSettings:
     ``--benchmark-set`` applied.
 
     When a results dir is given, it also becomes the active targets
-    directory (unless ``REPRO_TARGETS_DIR`` pins one), so ``tgt:`` names
-    resolve in this process and in every pool worker.
+    directory (unless ``REPRO_TARGETS_DIR`` pins one), which is where the
+    runner binds ``tgt:`` names to their registered specs.
     """
     from repro.experiments.common import ExperimentSettings
     from repro.targets import activate

@@ -26,7 +26,6 @@ time; larger values approach the paper's full workload counts.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,15 +50,6 @@ FIGURE_POLICIES = ("adapt_bp32", "lru", "ship", "eaf", "adapt_ins")
 BASELINE_POLICY = "tadrrip"
 
 
-def scale_factor() -> float:
-    """The ``REPRO_SCALE`` knob (>= 0.1)."""
-    try:
-        value = float(os.environ.get("REPRO_SCALE", "1.0"))
-    except ValueError:
-        value = 1.0
-    return max(0.1, value)
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Run budgets for one experiment campaign."""
@@ -79,7 +69,9 @@ class ExperimentSettings:
 
     @staticmethod
     def from_env() -> "ExperimentSettings":
-        s = scale_factor()
+        from repro.settings import current
+
+        s = current().scale
         base = ExperimentSettings()
         scaled = {
             cores: max(2, min(TABLE6[cores].num_workloads, round(n * s)))

@@ -4,11 +4,14 @@ The ``REPRO_FAULT`` environment variable turns controlled failures on in
 every process that executes jobs — the parent, pool workers, capture
 jobs — so the retry/timeout/quarantine machinery of
 :mod:`repro.runner.supervisor` can be exercised end to end, in tests and
-in the nightly chaos CI job.  Injection happens only at the *job
-boundary* (before a job's simulation starts) and at *artifact write
-time* (after a replay capture is persisted), never inside the simulation
-kernels, so a retried job reproduces its result bit for bit and a run
-that survives injected noise is bit-identical to a fault-free run.
+in the nightly chaos CI job.  The batch's parent parses the plan once
+(:mod:`repro.settings`), so a malformed plan fails the batch before any
+job runs, and its workers receive the parsed plan.  Injection happens
+only at the *job boundary* (before a job's simulation starts) and at
+*artifact write time* (after a replay capture is persisted), never
+inside the simulation kernels, so a retried job reproduces its result
+bit for bit and a run that survives injected noise is bit-identical to a
+fault-free run.
 
 Grammar — a comma-separated list of directives::
 
@@ -50,6 +53,8 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
+
+from repro import settings
 
 ENV_VAR = "REPRO_FAULT"
 
@@ -157,22 +162,9 @@ def parse_plan(raw: str) -> tuple[Directive, ...]:
     return tuple(directives)
 
 
-#: (raw env string, parsed plan) — re-parsed whenever the variable changes,
-#: so monkeypatched tests and long-lived workers both see the live value.
-_CACHE: tuple[str, tuple[Directive, ...]] | None = None
-
-
 def plan() -> tuple[Directive, ...]:
-    global _CACHE
-    raw = os.environ.get(ENV_VAR, "")
-    if _CACHE is None or _CACHE[0] != raw:
-        _CACHE = (raw, parse_plan(raw))
-    return _CACHE[1]
-
-
-def active() -> bool:
-    """Whether any fault directive is currently installed."""
-    return bool(plan())
+    """The fault plan of the settings in force (see :mod:`repro.settings`)."""
+    return settings.current().fault
 
 
 def maybe_fail(key: str, attempt: int, *, allow_exit: bool = False) -> None:

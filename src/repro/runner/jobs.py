@@ -17,18 +17,31 @@ Policies with constructor arguments (Figure 1's duelling-set variants, the
 ablation sweeps) are described by :class:`~repro.policies.spec.PolicySpec`
 — a name plus canonicalised keyword arguments — instead of live policy
 objects, which keeps those runs serialisable and cacheable too.
+
+An ingested ``tgt:`` name is rebindable: re-ingesting it under another
+budget or file registers new content under the same name.  So a job
+carries, in ``targets``, the :class:`~repro.targets.registry.TargetSpec`
+each of its ``tgt:`` names is bound to (:func:`bind_targets`, called by
+the parallel runner in the parent).  The specs are part of the
+payload and so of the cache key, and the job's sources are built from
+them.  A job without targets leaves the field out of its payload, so its
+key is the same as before the field existed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.policies.spec import PolicySpec
 from repro.sim.config import SystemConfig
 from repro.sim.results import SingleRunResult, WorkloadResult
 from repro.trace.workloads import Workload
+
+if TYPE_CHECKING:
+    from repro.targets.registry import TargetSpec
 
 #: Bump when the job/result encoding changes incompatibly; part of every
 #: cache key so stale store entries are simply never hit.
@@ -41,6 +54,18 @@ def _policy_to_payload(policy: str | PolicySpec) -> str | dict:
 
 def _policy_from_payload(payload: str | dict) -> str | PolicySpec:
     return payload if isinstance(payload, str) else PolicySpec.from_dict(payload)
+
+
+def _targets_payload(targets: tuple[TargetSpec, ...]) -> dict:
+    return {"targets": [spec.to_dict() for spec in targets]} if targets else {}
+
+
+def _targets_from(data: dict) -> tuple[TargetSpec, ...]:
+    if not data.get("targets"):
+        return ()
+    from repro.targets.registry import TargetSpec
+
+    return tuple(TargetSpec.from_dict(entry) for entry in data["targets"])
 
 
 def _digest(payload: dict) -> str:
@@ -59,6 +84,8 @@ class WorkloadJob:
     quota: int
     warmup: int
     master_seed: int
+    #: The specs the ``tgt:`` names in ``benchmarks`` are bound to.
+    targets: tuple[TargetSpec, ...] = ()
 
     kind = "workload"
 
@@ -92,6 +119,7 @@ class WorkloadJob:
             "quota": self.quota,
             "warmup": self.warmup,
             "master_seed": self.master_seed,
+            **_targets_payload(self.targets),
         }
 
     @classmethod
@@ -104,10 +132,16 @@ class WorkloadJob:
             quota=data["quota"],
             warmup=data["warmup"],
             master_seed=data["master_seed"],
+            targets=_targets_from(data),
         )
 
     def cache_key(self) -> str:
         return _digest({"v": SCHEMA_VERSION, **self.to_dict()})
+
+    def traces(self) -> tuple:
+        """Each core's trace: its synthetic name, or its bound target spec."""
+        bound = {spec.name: spec for spec in self.targets}
+        return tuple(bound.get(name, name) for name in self.benchmarks)
 
     def execute(self, capture: str | None = None) -> WorkloadResult:
         """Run the job; *capture* is its sweep's replay-artifact path, if any.
@@ -128,6 +162,7 @@ class WorkloadJob:
             warmup=self.warmup,
             master_seed=self.master_seed,
             bundle=None if capture is None else cached_bundle(capture),
+            targets=self.targets,
         )
 
     def result_from_dict(self, data: dict) -> WorkloadResult:
@@ -146,6 +181,8 @@ class AloneJob:
     master_seed: int
     monitor: bool = False
     monitor_all_sets: bool = False
+    #: The spec a ``tgt:`` ``benchmark`` is bound to.
+    targets: tuple[TargetSpec, ...] = ()
 
     kind = "alone"
 
@@ -160,6 +197,7 @@ class AloneJob:
             "master_seed": self.master_seed,
             "monitor": self.monitor,
             "monitor_all_sets": self.monitor_all_sets,
+            **_targets_payload(self.targets),
         }
 
     @classmethod
@@ -173,6 +211,7 @@ class AloneJob:
             master_seed=data["master_seed"],
             monitor=data.get("monitor", False),
             monitor_all_sets=data.get("monitor_all_sets", False),
+            targets=_targets_from(data),
         )
 
     def cache_key(self) -> str:
@@ -190,6 +229,7 @@ class AloneJob:
             master_seed=self.master_seed,
             monitor=self.monitor,
             monitor_all_sets=self.monitor_all_sets,
+            targets=self.targets,
         )
 
     def result_from_dict(self, data: dict) -> SingleRunResult:
@@ -199,6 +239,21 @@ class AloneJob:
 Job = WorkloadJob | AloneJob
 
 _JOB_KINDS = {WorkloadJob.kind: WorkloadJob, AloneJob.kind: AloneJob}
+
+
+def bind_targets(job: Job) -> Job:
+    """*job* with each of its ``tgt:`` names bound to the spec registered
+    under it now; *job* itself when it names no target or is bound already.
+
+    Raises ``ValueError`` for a name that was never ingested.
+    """
+    names = job.benchmarks if job.kind == "workload" else (job.benchmark,)
+    wanted = sorted({name for name in names if name.startswith("tgt:")})
+    if job.targets or not wanted:
+        return job
+    from repro.targets.registry import require_target
+
+    return replace(job, targets=tuple(require_target(name) for name in wanted))
 
 
 def job_from_dict(data: dict) -> Job:

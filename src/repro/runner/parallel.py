@@ -39,13 +39,13 @@ under its content-addressed keys.
 from __future__ import annotations
 
 import importlib
-import os
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro import settings
 from repro.runner import faults
-from repro.runner.jobs import SCHEMA_VERSION, Job, job_from_dict
+from repro.runner.jobs import SCHEMA_VERSION, Job, bind_targets, job_from_dict
 from repro.runner.replaystore import ReplayStore, replay_key
 from repro.runner.store import ResultStore
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
@@ -66,14 +66,7 @@ _EXECUTION_STACK = (
 
 def default_jobs() -> int:
     """Worker count: ``REPRO_JOBS`` if set to a positive int, else CPU count."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value > 0:
-        return value
-    return os.cpu_count() or 1
+    return settings.current().jobs
 
 
 def _counters_snapshot() -> dict:
@@ -137,8 +130,14 @@ class ParallelRunner:
         is simulated fresh (the ``--no-cache`` CLI behaviour).
     retry:
         The batch :class:`~repro.runner.supervisor.RetryPolicy`
-        (``None`` reads ``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
-        ``REPRO_RETRY_BACKOFF`` from the environment).
+        (``None``: ``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
+        ``REPRO_RETRY_BACKOFF``, through :mod:`repro.settings`).
+
+    Each :meth:`run` reads the :mod:`repro.settings` record once, in this
+    process, and its pool workers receive that record instead of reading
+    their own environment.  Each job's ``tgt:`` names are bound to their
+    registered specs here too, so a worker simulates the content the
+    parent resolved and never consults ``targets.json``.
     """
 
     def __init__(
@@ -200,9 +199,11 @@ class ParallelRunner:
         always returned, and a later invocation re-executes only the
         holes.
         """
+        record = settings.current()
         order: list[str] = []
         unique: dict[str, Job] = {}
         for job in jobs:
+            job = bind_targets(job)
             key = job.cache_key()
             order.append(key)
             unique.setdefault(key, job)
@@ -224,6 +225,7 @@ class ParallelRunner:
         supervisor = Supervisor(
             workers=min(self.jobs, len(misses)) if len(misses) > 1 else 1,
             policy=self.retry,
+            record=record,
         )
         counters_before = _counters_snapshot()
         try:
@@ -273,7 +275,7 @@ class ParallelRunner:
         return Path(self._trace_tmpdir.name)
 
     def _plan_captures(
-        self, misses: list[tuple[str, Job]]
+        self, misses: list[tuple[str, Job]], record: settings.Settings
     ) -> tuple[list[tuple[str, dict]], dict[str, tuple[str, str]]]:
         """The capture jobs of a miss batch, and each swept job's route.
 
@@ -281,22 +283,20 @@ class ParallelRunner:
         same workload, private-level platform and budgets, different LLC
         policy.  Returns one ``(capture key, worker payload)`` per sweep,
         and ``{sim key: (capture key, artifact path)}`` for every swept
-        job.  Both are empty under ``REPRO_NO_FASTPATH``, when nothing is
-        swept, or when the store root is unavailable — every one of which
-        runs the batch without replay.
+        job.  Both are empty when the batch's *record* pins the generic
+        loop (``REPRO_NO_FASTPATH``), when nothing is swept, or when the
+        store root is unavailable — every one of which runs the batch
+        without replay.
         """
-        if len(misses) < 2:
+        if len(misses) < 2 or record.no_fastpath:
             return [], {}
         from repro.cpu.capture import REPLAY_SLACK, job_identity
-        from repro.cpu.fastpath import fastpath_enabled
 
-        if not fastpath_enabled():
-            return [], {}
         sweeps: dict[tuple, list[tuple[str, Job]]] = {}
         for key, job in misses:
             if job.kind == "workload":
                 identity = job_identity(
-                    job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
+                    job.traces(), job.config, job.quota, job.warmup, job.master_seed
                 )
                 sweeps.setdefault(identity, []).append((key, job))
         swept = {ident: members for ident, members in sweeps.items() if len(members) >= 2}
@@ -329,7 +329,7 @@ class ParallelRunner:
         quarantined; inline and pool execution take the same route.  Capture outcomes
         never surface to the caller; only sim outcomes are yielded.
         """
-        capture_jobs, routes = self._plan_captures(misses)
+        capture_jobs, routes = self._plan_captures(misses, supervisor.record)
         capture_keys = {ckey for ckey, _ in capture_jobs}
         captured: set[str] = set()
 

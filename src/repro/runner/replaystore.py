@@ -75,7 +75,7 @@ def replay_key(identity: CaptureIdentity, slack: float) -> str:
     from repro.cpu.capture import CAPTURE_FORMAT
 
     blob = json.dumps(
-        {"v": CAPTURE_FORMAT, "identity": list(identity), "slack": slack},
+        {"v": CAPTURE_FORMAT, "identity": list(identity.to_meta().values()), "slack": slack},
         sort_keys=True,
         separators=(",", ":"),
     )

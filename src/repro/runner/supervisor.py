@@ -29,18 +29,20 @@ dependency's outcome has been *yielded*, success or quarantine alike
 (edges order work, they never veto it), so the caller can fold the
 dependency's product into the dependent's payload before it is built.
 
-Workers need no special re-initialisation after a rebuild: each sim
-task payload carries everything its job needs (including its sweep's
-replay-artifact path), so a fresh worker is ready on its first task.
+Every worker starts with the batch's :class:`~repro.settings.Settings`
+record installed (the pool initializer), and reads no environment of its
+own; each sim task payload carries the rest of what its job needs
+(including its sweep's replay-artifact path).  A rebuilt pool gets the
+same record, so a fresh worker is ready on its first task.
 
 Inline execution (``workers <= 1``, single-job batches, or a degraded
-pool) goes through the same retry/quarantine path; only timeouts are
-unenforceable inline (nothing can preempt the parent).
+pool) goes through the same retry/quarantine path, with the same record
+installed around each job; only timeouts are unenforceable inline
+(nothing can preempt the parent).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -48,6 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro import settings
 from repro.runner import faults
 
 if TYPE_CHECKING:
@@ -58,20 +61,6 @@ if TYPE_CHECKING:
 _DEADLINE_POLL = 0.05
 #: Longest idle sleep while only backoff timers are pending.
 _IDLE_SLEEP = 0.25
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -91,11 +80,11 @@ class RetryPolicy:
     @staticmethod
     def from_env() -> "RetryPolicy":
         """``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_RETRY_BACKOFF``."""
-        timeout = _env_float("REPRO_JOB_TIMEOUT", 0.0)
+        record = settings.current()
         return RetryPolicy(
-            max_retries=max(0, _env_int("REPRO_MAX_RETRIES", 2)),
-            job_timeout=timeout if timeout > 0 else None,
-            backoff_base=max(0.0, _env_float("REPRO_RETRY_BACKOFF", 0.05)),
+            max_retries=record.max_retries,
+            job_timeout=record.job_timeout,
+            backoff_base=record.retry_backoff,
         )
 
     def with_overrides(
@@ -162,14 +151,23 @@ class Supervisor:
         Worker-process budget; ``<= 1`` means pure inline execution.
     policy:
         The batch's :class:`RetryPolicy`.
+    record:
+        The batch's :class:`~repro.settings.Settings`, installed in every
+        worker and around every inline job (``None``: read now).
     """
 
     #: Time source for deadlines and backoff timers.  Tests substitute a
     #: virtual clock so timeout behaviour never races the wall clock.
     clock = staticmethod(time.monotonic)
 
-    def __init__(self, workers: int, policy: RetryPolicy | None = None) -> None:
+    def __init__(
+        self,
+        workers: int,
+        policy: RetryPolicy | None = None,
+        record: settings.Settings | None = None,
+    ) -> None:
         self.workers = max(0, workers)
+        self.record = record or settings.current()
         self.policy = policy or RetryPolicy.from_env()
         self._pool: ProcessPoolExecutor | None = None
         self._degraded = self.workers <= 1
@@ -187,7 +185,11 @@ class Supervisor:
             # forks (a warm store, an inline run) its import time.
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=settings.install,
+                initargs=(self.record,),
+            )
         return self._pool
 
     def shutdown(self, *, cancel: bool = False) -> None:
@@ -410,8 +412,9 @@ class Supervisor:
         self, inline_fn: Callable, key: str, job: object, attempt: int
     ) -> object:
         try:
-            faults.maybe_fail(key, attempt, allow_exit=False)
-            return inline_fn(key, job)
+            with settings.installed(self.record):
+                faults.maybe_fail(key, attempt, allow_exit=False)
+                return inline_fn(key, job)
         except Exception as exc:
             return self._after_failure(key, attempt, "crash", repr(exc))
 

@@ -115,7 +115,7 @@ def _referenced(store: ResultStore) -> tuple[int, set[tuple]]:
         if job.kind == "workload":
             identities.add(
                 job_identity(
-                    job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
+                    job.traces(), job.config, job.quota, job.warmup, job.master_seed
                 )
             )
     return scanned, identities
@@ -163,7 +163,10 @@ def provenance_line(path: Path) -> str:
 
             inner = load_meta(path)
             if inner is not None:
-                benchmarks = ",".join(inner.get("benchmarks", []))
+                benchmarks = ",".join(
+                    name if isinstance(name, str) else str(name.get("name"))
+                    for name in inner.get("benchmarks", [])
+                )
                 line = (
                     f"replay capture [{benchmarks}] "
                     f"seed={inner.get('master_seed', '?')}"

@@ -121,15 +121,19 @@ def geometry_of(config: SystemConfig) -> Geometry:
 
 
 def build_sources(
-    workload: Workload, config: SystemConfig, master_seed: int = 0
+    workload: Workload, config: SystemConfig, master_seed: int = 0, targets=()
 ) -> list[TraceSource]:
     """One calibrated trace source per core of *workload*.
 
     Construction goes through :func:`repro.trace.benchmarks.make_source`,
-    so ingested ``tgt:`` targets and synthetic generators mix freely.
+    so ingested ``tgt:`` targets and synthetic generators mix freely.  A
+    ``tgt:`` name with a spec in *targets* (a job's bound
+    :class:`~repro.targets.registry.TargetSpec` objects) is built from that
+    spec; any other resolves through the active registry.
     """
     geometry = geometry_of(config)
+    bound = {spec.name: spec for spec in targets}
     return [
-        make_source(name, geometry, core_id, master_seed)
+        make_source(bound.get(name, name), geometry, core_id, master_seed)
         for core_id, name in enumerate(workload.benchmarks)
     ]

@@ -26,20 +26,23 @@ def run_workload(
     warmup: int = 5_000,
     master_seed: int = 0,
     bundle: CaptureBundle | None = None,
+    targets=(),
 ) -> WorkloadResult:
     """Run *workload* under *policy*; every core measured over *quota* accesses.
 
     *bundle* is the private-level capture the parallel runner hands each
     job of a policy sweep; :meth:`MulticoreEngine.run` replays it when it
     matches the run and otherwise captures the run's own workload (see
-    there).  Results are bit-identical on every route.  Only the returned
+    there).  Results are bit-identical on every route.  *targets* are the
+    specs of the workload's ``tgt:`` names (see
+    :func:`~repro.sim.build.build_sources`).  Only the returned
     snapshots and the LLC-side state are read, so the discarded
     private-cache end state is not reconstructed (``finalize=False``).
     """
     if workload.cores != config.num_cores:
         config = config.with_cores(workload.cores)
     hierarchy = build_hierarchy(config, policy)
-    sources = build_sources(workload, config, master_seed)
+    sources = build_sources(workload, config, master_seed, targets)
     engine = MulticoreEngine(
         hierarchy,
         sources,

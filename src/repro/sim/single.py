@@ -27,8 +27,13 @@ def run_alone(
     master_seed: int = 0,
     monitor: bool = False,
     monitor_all_sets: bool = False,
+    targets=(),
 ) -> SingleRunResult:
-    """Run *benchmark* alone; optionally attach passive footprint monitors."""
+    """Run *benchmark* alone; optionally attach passive footprint monitors.
+
+    A ``tgt:`` *benchmark* is built from its spec in *targets* when one is
+    there, else resolved through the active registry.
+    """
     # The platform and kernels load here, not at module import: an
     # :class:`AloneCache` served wholly from the result store needs none.
     from repro.core.monitor import MonitoredPolicy
@@ -38,11 +43,12 @@ def run_alone(
 
     spec = BENCHMARKS.get(benchmark)
     if spec is None and benchmark.startswith("tgt:"):
-        # Ingested targets resolve through the active registry (raises
-        # with ingest guidance when the target is unknown there).
-        from repro.targets.registry import require_target
+        spec = next((t for t in targets if t.name == benchmark), None)
+        if spec is None:
+            # Raises with ingest guidance when the target is unknown.
+            from repro.targets.registry import require_target
 
-        spec = require_target(benchmark)
+            spec = require_target(benchmark)
     if spec is None:
         raise ValueError(f"unknown benchmark {benchmark!r}")
     solo_config = config.with_cores(1)

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import settings
 from repro.targets.formats import FormatError, detect_format, iter_chunks, open_stream
 from repro.targets.registry import (
     TARGET_PREFIX,
@@ -51,8 +52,7 @@ from repro.targets.registry import (
 )
 
 #: Default down-sampling cap, in accesses (before ``REPRO_SCALE``).
-DEFAULT_BUDGET = 1_048_576
-ENV_BUDGET = "REPRO_TRACE_BUDGET"
+DEFAULT_BUDGET = settings.DEFAULT_TRACE_BUDGET
 #: Bump when the ingest encoding changes; part of every content address.
 INGEST_VERSION = 1
 
@@ -72,15 +72,8 @@ def trace_budget(budget: int | None = None) -> int:
     least one chunk.
     """
     if budget is None:
-        try:
-            budget = int(os.environ.get(ENV_BUDGET, str(DEFAULT_BUDGET)))
-        except ValueError:
-            budget = DEFAULT_BUDGET
-        try:
-            scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-        except ValueError:
-            scale = 1.0
-        budget = round(budget * max(0.1, scale))
+        record = settings.current()
+        budget = round(record.trace_budget * record.scale)
     return max(_CHUNK, int(budget))
 
 

@@ -16,10 +16,14 @@ to the buffers.  This module is the *consumption* side:
   end, matching the paper's "re-execute finished applications" rule),
   with the standard per-core address offset applied at serve time so any
   core placement replays the same bytes;
-* the **active-directory** protocol — worker processes cannot see a
-  parent's registry object, so the active targets directory travels in
-  the ``REPRO_TARGETS_DIR`` environment variable (set by
-  :func:`activate` before the pool forks, inherited by every worker).
+* the **active directory** — where ``tgt:`` names resolve and buffers
+  live: ``REPRO_TARGETS_DIR`` when set, else the ``<results-dir>/traces``
+  a command passed to :func:`activate`.  The :mod:`repro.settings`
+  record's ``targets_dir`` holds it, and a batch's parent hands that
+  record to its pool workers.  The parent also binds each job's ``tgt:``
+  names to their specs (:func:`repro.runner.jobs.bind_targets`), so a
+  worker builds its sources from those specs and only maps their buffers
+  from the active directory; it never reads ``targets.json``.
 
 Target names are namespaced with the ``tgt:`` prefix so they can never
 collide with the synthetic roster, and every lookup that touches the
@@ -36,10 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import settings
+
 #: Namespace prefix separating ingested targets from synthetic benchmarks.
 TARGET_PREFIX = "tgt:"
-#: The active targets directory, inherited by pool workers via the
-#: environment (set it before the pool is created — see :func:`activate`).
+#: The switch that pins the active targets directory (see :func:`activate`).
 ENV_TARGETS_DIR = "REPRO_TARGETS_DIR"
 #: Registry file name, next to the buffers it describes.
 REGISTRY_NAME = "targets.json"
@@ -100,22 +105,21 @@ class TargetSpec:
 def activate(results_dir: str | Path) -> Path:
     """Make ``<results_dir>/traces`` the active targets directory.
 
-    Idempotent, and an explicit pre-set ``REPRO_TARGETS_DIR`` wins — a
-    user pointing the variable at a shared ingest cache keeps it across
-    every command.  Must run before the worker pool is created so the
-    variable is inherited.
+    An explicit ``REPRO_TARGETS_DIR`` wins — a user pointing the variable
+    at a shared ingest cache keeps it across every command.  Returns the
+    directory now active.  The environment is left alone: the directory
+    reaches pool workers in the batch's settings record.
     """
-    directory = Path(results_dir) / "traces"
-    os.environ.setdefault(ENV_TARGETS_DIR, str(directory))
-    return Path(os.environ[ENV_TARGETS_DIR])
+    settings.activate_targets_dir(Path(results_dir) / "traces")
+    return active_dir()
 
 
 def active_dir(directory: str | Path | None = None) -> Path | None:
-    """The targets directory to resolve against (explicit beats env)."""
+    """The targets directory to resolve against (explicit beats active)."""
     if directory is not None:
         return Path(directory)
-    env = os.environ.get(ENV_TARGETS_DIR)
-    return Path(env) if env else None
+    active = settings.current().targets_dir
+    return Path(active) if active else None
 
 
 def registry_path(directory: str | Path) -> Path:
@@ -126,36 +130,19 @@ def buffer_path(directory: str | Path, key: str) -> Path:
     return Path(directory) / f"target-{key}.npy"
 
 
-#: ``(path, mtime_ns, size)`` -> parsed registry; workers resolve every
-#: core's target through here, so repeated loads must not re-read disk.
-_REGISTRY_CACHE: dict[tuple, dict[str, TargetSpec]] = {}
-
-
 def load_registry(directory: str | Path | None = None) -> dict[str, TargetSpec]:
     """Every registered target in the (given or active) directory."""
     directory = active_dir(directory)
     if directory is None:
         return {}
-    path = registry_path(directory)
     try:
-        stat = path.stat()
-    except OSError:
-        return {}
-    cache_key = (str(path), stat.st_mtime_ns, stat.st_size)
-    cached = _REGISTRY_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        targets = {
+        raw = json.loads(registry_path(directory).read_text(encoding="utf-8"))
+        return {
             name: TargetSpec.from_dict(entry)
             for name, entry in raw.get("targets", {}).items()
         }
     except (OSError, ValueError, TypeError):
         return {}
-    _REGISTRY_CACHE.clear()
-    _REGISTRY_CACHE[cache_key] = targets
-    return targets
 
 
 def save_registry(

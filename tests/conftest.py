@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import settings
 from repro.sim.config import CacheLevelConfig, SystemConfig
+
+
+@pytest.fixture(autouse=True)
+def _no_activated_targets_dir(monkeypatch):
+    """A command's ``--results-dir`` activates a targets directory for the
+    rest of the process; start every test without one."""
+    monkeypatch.setattr(settings, "_activated_targets_dir", None)
 
 
 @pytest.fixture

@@ -49,18 +49,6 @@ class TestIntervalClock:
         )
         assert engine.intervals_completed >= 2
 
-    def test_first_interval_divisor(self, tiny_config):
-        e1, _ = run_engine(
-            tiny_config, ("lbm", "milc", "libq", "STRM"),
-            interval_misses=100_000, first_interval_divisor=100,
-        )
-        e2, _ = run_engine(
-            tiny_config, ("lbm", "milc", "libq", "STRM"),
-            interval_misses=100_000,
-        )
-        assert e1.intervals_completed >= 1
-        assert e2.intervals_completed == 0
-
     def test_default_interval_from_llc_blocks(self, tiny_config):
         workload = Workload("t", ("calc", "deal", "eon", "h26"))
         hierarchy = build_hierarchy(tiny_config, "lru")

@@ -12,6 +12,7 @@ from array import array
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.cpu import capture as cap
 from repro.cpu.capture import CoreTape, capture_workload, job_identity
 from repro.cpu.engine import MulticoreEngine
@@ -241,7 +242,8 @@ class TestEligibility:
             for p in ("lru", "ship")
         ]
         runner = ParallelRunner(jobs=1, store=store)
-        assert runner._plan_captures([(job.cache_key(), job) for job in jobs]) == ([], {})
+        misses = [(job.cache_key(), job) for job in jobs]
+        assert runner._plan_captures(misses, settings.read()) == ([], {})
         runner.run(jobs)
         assert not list((tmp_path / "results" / "traces").glob("replay-*.npz"))
         assert runner.stats["bundle_loads"] == 0

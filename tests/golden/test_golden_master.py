@@ -249,10 +249,12 @@ class TestFastPathDispatch:
         assert all(s.accesses == 50 for s in snaps)
 
     def test_env_kill_switch(self, monkeypatch):
+        from repro import settings
+
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert not fastpath.fastpath_enabled()
+        assert settings.read().no_fastpath
         monkeypatch.delenv("REPRO_NO_FASTPATH")
-        assert fastpath.fastpath_enabled()
+        assert not settings.read().no_fastpath
 
     def test_fast_ops_protocol_shapes(self):
         from repro.policies.registry import make_policy

@@ -101,6 +101,16 @@ class TestParsePlan:
         assert 0.0 <= faults.unit_draw("crash", "key", 0) < 1.0
 
 
+class TestMalformedPlanFailsUpFront:
+    def test_batch_raises_once_before_any_job_runs(self, tiny_config, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT", "bogus")
+        runner = ParallelRunner(jobs=2, retry=FAST)
+        with pytest.raises(ValueError, match="REPRO_FAULT"):
+            runner.run(_alone_jobs(tiny_config)[:2])
+        assert runner.stats["executed"] == runner.stats["failed"] == 0
+        assert runner.stats["retried"] == 0
+
+
 class TestCrashRecovery:
     def test_transient_crashes_yield_bit_identical_results(
         self, tiny_config, reference, monkeypatch

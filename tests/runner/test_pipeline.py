@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import settings
 from repro.cpu.capture import REPLAY_SLACK, job_identity
 from repro.runner import AloneJob, ParallelRunner, ResultStore, WorkloadJob
 from repro.runner import parallel, replaystore
@@ -165,7 +166,9 @@ class TestRouting:
     def test_planned_path_is_the_materialised_path(self, tiny_config, tmp_path, use_cache):
         jobs = _sweep(tiny_config, ("lru", "ship"))
         with ParallelRunner(jobs=1, store=ResultStore(tmp_path), use_cache=use_cache) as runner:
-            capture_jobs, routes = runner._plan_captures([(j.cache_key(), j) for j in jobs])
+            capture_jobs, routes = runner._plan_captures(
+                [(j.cache_key(), j) for j in jobs], settings.read()
+            )
             [(ckey, payload)] = capture_jobs
             root = tmp_path / "traces" if use_cache else runner.traces_root()
             path = _artifact(root, jobs[0])

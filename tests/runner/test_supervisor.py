@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.runner.supervisor import FailureRecord, RetryPolicy, Supervisor
 
 #: Fast-retry policy so tests never wait on real backoff.
@@ -53,6 +54,10 @@ def _sleep_first(task):
     if attempt == 0:
         time.sleep(1.5)
     return {"value": job * 2}
+
+
+def _scale_seen(task):
+    return {"value": settings.current().scale}
 
 
 def _run(supervisor, misses, worker_fn):
@@ -345,6 +350,35 @@ class TestDependencyEdges:
             dependencies={"a": "b", "b": "a"},
         )
         assert dict(outcomes) == EXPECTED
+
+
+class TestSettingsRecord:
+    """Jobs run under the record their batch read, not their own environment."""
+
+    def _scales(self, supervisor) -> dict:
+        outcomes = {}
+        try:
+            for key, _, outcome in supervisor.run_jobs(
+                MISSES,
+                worker_fn=_scale_seen,
+                task_for=lambda key, job, attempt: (key, job, attempt),
+                inline_fn=lambda key, job: settings.current().scale,
+                decode=lambda job, data: data["value"],
+            ):
+                outcomes[key] = outcome
+        finally:
+            supervisor.shutdown(cancel=True)
+        return outcomes
+
+    @pytest.mark.parametrize("workers", [2, 1], ids=["pool", "inline"])
+    def test_installed_record_wins_over_a_changed_environment(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "2.0")
+        supervisor = Supervisor(workers=workers, policy=FAST)
+        # The pool forks after this, so its workers inherit the new value.
+        monkeypatch.setenv("REPRO_SCALE", "3.0")
+        assert self._scales(supervisor) == {key: 2.0 for key, _ in MISSES}
+        # Inline jobs leave the parent as they found it.
+        assert settings.current().scale == 3.0
 
 
 class TestRetryPolicy:

@@ -104,6 +104,28 @@ class TestCollectGarbage:
         assert report.dry_run and orphan.name in report.removed
         assert orphan.exists()
 
+    def test_target_sweep_capture_survives(self, tmp_path, monkeypatch):
+        """A ``tgt:`` sweep's capture is identified by the target's spec,
+        and a stored result that ran it keeps it."""
+        from repro.runner.replaystore import load_meta
+
+        root = tmp_path / "results"
+        spec, _ = ingest_file(LACKEY_FIXTURE, directory=root / "traces")
+        monkeypatch.setenv("REPRO_TARGETS_DIR", str(root / "traces"))
+        config = SystemConfig.scaled(16).with_cores(2)
+        workload = Workload("t", (spec.name, "mcf"))
+        jobs = [
+            WorkloadJob.for_workload(
+                workload, config, policy, quota=300, warmup=80, master_seed=0
+            )
+            for policy in ("lru", "srrip")
+        ]
+        ParallelRunner(jobs=1, store=ResultStore(root)).run(jobs)
+        (capture,) = (root / "traces").glob("replay-*.npz")
+        assert load_meta(capture)["benchmarks"] == [spec.to_dict(), "mcf"]
+        report = collect_garbage(root)
+        assert report.removed == [] and capture.name in report.kept
+
     def test_results_without_traces_dir(self, tmp_path):
         report = collect_garbage(tmp_path / "empty")
         assert report.removed == [] and report.kept == []

@@ -6,7 +6,8 @@ tables run at full fidelity.
 
 import pytest
 
-from repro.experiments.common import ExperimentSettings, Runner, scale_factor
+from repro import settings
+from repro.experiments.common import ExperimentSettings, Runner
 from repro.experiments.fig1 import forced_tadrrip
 from repro.experiments.tables import render_table2, render_table3, render_table6
 from repro.trace.workloads import Workload
@@ -22,6 +23,10 @@ def tiny_runner(tiny_config):
         workloads={4: 2, 8: 2, 16: 2, 20: 2, 24: 2},
     )
     return Runner(tiny_config.with_cores(4), settings)
+
+
+def scale_factor() -> float:
+    return settings.read().scale
 
 
 class TestScaleFactor:
@@ -40,6 +45,18 @@ class TestScaleFactor:
     def test_floor(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.0001")
         assert scale_factor() == 0.1
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "junk"])
+    def test_non_finite_reads_like_junk(self, raw, monkeypatch):
+        """Both consumers of the knob see the default for any unusable value."""
+        from repro.targets import trace_budget
+
+        monkeypatch.delenv("REPRO_TRACE_BUDGET", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "1")
+        expected = (ExperimentSettings.from_env(), trace_budget())
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        assert scale_factor() == 1.0
+        assert (ExperimentSettings.from_env(), trace_budget()) == expected
 
     def test_from_env_caps_at_paper_counts(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "1000")

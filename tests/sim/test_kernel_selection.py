@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import settings
 from repro.cpu import capture, fastpath, replay
-from repro.cpu.fastpath import fastpath_enabled
 from repro.golden import golden_config
 from repro.runner import WorkloadJob, replaystore
 from repro.runner.replaystore import ReplayStore, cached_bundle
@@ -141,7 +141,7 @@ ON_VALUES = ("1", "true", "yes", "0")
 class TestSwitchValueSemantics:
     def test_empty_value_is_unset(self, artifact, monkeypatch):
         monkeypatch.setenv("REPRO_NO_FASTPATH", "")
-        assert fastpath_enabled()
+        assert not settings.read().no_fastpath
         calls = _kernel_spy(monkeypatch)
         _run(cached_bundle(artifact))
         assert calls == _expected("matching", False)
@@ -149,7 +149,7 @@ class TestSwitchValueSemantics:
     @pytest.mark.parametrize("value", ON_VALUES)
     def test_non_empty_value_sets_the_switch(self, value, artifact, monkeypatch):
         monkeypatch.setenv("REPRO_NO_FASTPATH", value)
-        assert not fastpath_enabled()
+        assert settings.read().no_fastpath
         calls = _kernel_spy(monkeypatch)
         _run(cached_bundle(artifact))
         assert calls == []
@@ -249,15 +249,11 @@ def test_kernel_choice_lives_in_one_place():
     def reads_switch(node) -> bool:
         return isinstance(node, ast.Constant) and node.value == "REPRO_NO_FASTPATH"
 
-    def calls_enabled(node) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        return name == "fastpath_enabled"
+    def consults_field(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "no_fastpath"
 
-    assert _functions_where(reads_switch) == {"repro/cpu/fastpath:fastpath_enabled"}
-    assert _functions_where(calls_enabled) == {
+    assert _functions_where(reads_switch) == {"repro/settings:read"}
+    assert _functions_where(consults_field) == {
         "repro/cpu/engine:MulticoreEngine.run",
         "repro/runner/parallel:ParallelRunner._plan_captures",
     }

@@ -1,9 +1,10 @@
 """Shared fixtures for the targets subsystem tests.
 
-Targets resolve through ``REPRO_TARGETS_DIR`` and a couple of budget
-variables; the autouse fixture strips them all so every test starts from
-a clean environment and nothing leaks between tests (or in from the CI
-job that sets ``REPRO_SCALE``).
+Targets resolve against ``REPRO_TARGETS_DIR`` and ingest under a couple
+of budget variables, all read through :mod:`repro.settings`; the autouse
+fixture strips them so every test starts from a clean environment (the
+CI job sets ``REPRO_SCALE``).  The directory a command activates is reset
+by the suite-wide fixture in ``tests/conftest.py``.
 """
 
 from __future__ import annotations

@@ -119,11 +119,6 @@ class TestTracesInventory:
 
 
 class TestNameAliasing:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="job cache keys hold the tgt: name, not the buffer it resolves "
-        "to (ROADMAP: 'Content-address what results depend on')",
-    )
     def test_reingest_under_another_budget_misses_the_store(self, store, monkeypatch, capsys):
         """Re-ingesting a name rebinds it to a new buffer; a run stored
         against the old buffer must not be served for the new one."""

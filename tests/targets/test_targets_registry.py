@@ -86,6 +86,13 @@ class TestRegistry:
         monkeypatch.delenv(ENV_TARGETS_DIR)
         assert activate(tmp_path / "results") == tmp_path / "results" / "traces"
 
+    def test_activate_leaves_the_environment_alone(self, tmp_path):
+        import os
+
+        before = dict(os.environ)
+        assert activate(tmp_path / "results") == tmp_path / "results" / "traces"
+        assert dict(os.environ) == before
+
 
 class TestIngestedTraceSource:
     def test_chunk_matches_trace_source(self):
