@@ -405,15 +405,20 @@ class PrivateCoreSim:
     Mirrors the generic loop's L1/L2/prefetcher behaviour exactly (same
     state objects, same mutation order); used three ways:
 
-    * **capture** — ``run(n, record=True)`` appends step codes and LLC
-      events to a :class:`CoreTape`;
+    * **capture** — ``run(n, tape)`` appends step codes and LLC events to
+      a :class:`CoreTape`;
     * **live continuation** — the replay kernel resumes a tape-end
       checkpoint on scratch objects and keeps recording when a run
       outlives the captured stream;
     * **reconstruction** — the replay finaliser resumes the engine's *own*
       cache/prefetcher/source objects from a checkpoint and re-simulates
-      (``record=False``) up to the exact access index where the generic
-      loop would have stopped.
+      (no tape) up to the exact access index where the generic loop
+      would have stopped.
+
+    The simulator holds no reference to a tape: a continuation simulator
+    hangs off its tape (:attr:`CoreTape.live_sim`), and a back reference
+    would make every in-memory capture a reference cycle that outlives
+    its run until the cyclic collector happens to run.
     """
 
     __slots__ = (
@@ -426,7 +431,6 @@ class PrivateCoreSim:
         "count",
         "instr",
         "pf_issued",
-        "tape",
         "_lookup1",
         "_valid1",
         "_lookup2",
@@ -446,7 +450,6 @@ class PrivateCoreSim:
         prefetcher,
         l1_next_line: bool,
         source,
-        tape: CoreTape | None = None,
     ) -> None:
         if type(l1.policy) is not LruPolicy:
             raise ValueError("capture requires a plain-LRU L1")
@@ -461,7 +464,6 @@ class PrivateCoreSim:
         self.count = 0
         self.instr = 0.0
         self.pf_issued = 0
-        self.tape = tape
         self._lookup1, self._valid1 = _residency(l1)
         self._lookup2, self._valid2 = _residency(l2)
         self._psel_val = l2.policy._psel.value
@@ -571,15 +573,16 @@ class PrivateCoreSim:
 
     # -- the private-level loop ---------------------------------------------
 
-    def run(self, n: int, record: bool = True) -> None:
+    def run(self, n: int, tape: CoreTape | None = None) -> None:
         """Process the next *n* accesses, mirroring the generic loop.
 
-        With ``record``, step codes and LLC-bound events are appended to
-        the tape; without, only the private state advances (the
-        reconstruction mode).
+        With a *tape*, step codes and LLC-bound events are appended to it;
+        without, only the private state advances (the reconstruction
+        mode).
         """
         if n <= 0:
             return
+        record = tape is not None
         l1, l2 = self.l1, self.l2
         source = self.source
         mask1 = l1.set_mask
@@ -624,7 +627,6 @@ class PrivateCoreSim:
         l1_pf = self.l1_next_line
         pf_issued = self.pf_issued
 
-        tape = self.tape
         if record:
             steps_append = tape.steps.append
             evs_append = tape.ev_step.append
@@ -935,9 +937,7 @@ def capture_workload(identity: CaptureIdentity, slack: float = REPLAY_SLACK) -> 
         source = make_source(name, geometry, core_id, identity.master_seed)
         l1, l2, prefetcher = _fresh_private_level(identity, core_id)
         tape = CoreTape()
-        sim = PrivateCoreSim(
-            l1, l2, prefetcher, identity.l1_next_line_prefetch, source, tape
-        )
+        sim = PrivateCoreSim(l1, l2, prefetcher, identity.l1_next_line_prefetch, source)
         # Checkpoints from quota completion on: every core of a run has
         # reached it when the run ends, so the finaliser never restores an
         # earlier one.
@@ -947,7 +947,7 @@ def capture_workload(identity: CaptureIdentity, slack: float = REPLAY_SLACK) -> 
             boundaries.add(warmup)
         done = 0
         for boundary in sorted(boundaries):
-            sim.run(boundary - done)
+            sim.run(boundary - done, tape)
             done = boundary
             if boundary == warmup and warmup > 0:
                 tape.baseline = {
@@ -1004,13 +1004,11 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
             core_id,
             identity.master_seed,
         )
-        sim = PrivateCoreSim(
-            l1, l2, prefetcher, identity.l1_next_line_prefetch, source, tape
-        )
+        sim = PrivateCoreSim(l1, l2, prefetcher, identity.l1_next_line_prefetch, source)
         sim.restore_state(tape.checkpoint(-1))
         advance_source(source, tape.checkpoint_index[-1])
         tape.live_sim = sim
-    sim.run(n)
+    sim.run(n, tape)
     # Keep the capture pass's checkpoint density: further extension resumes
     # from the persistent live_sim, and the replay finaliser only needs a
     # checkpoint within one interval of the final cut — appending one per

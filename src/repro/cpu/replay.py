@@ -916,7 +916,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             )
             sim.restore_state(ck)
             cap.advance_source(source, ck["index"])
-            sim.run(n_i - ck["index"], record=False)
+            sim.run(n_i - ck["index"])
             core = cores[cid]
             core.accesses = n_i
             core.instructions = sim.instr

@@ -5,9 +5,10 @@ The tournament driver fills the persistent store with one
 plus the single-application ``IPC_alone`` baselines the throughput metrics
 need.  This module turns those raw records into ranked statistics:
 
-* one :class:`Cell` per (policy, workload, seed) — the weighted speed-up
-  against the solo baselines, its ratio over the baseline policy on the
-  same workload (the paper's y-axis), and the mean LLC MPKI;
+* one :class:`Cell` per (policy, workload, seed, target binding) — the
+  weighted speed-up against the solo baselines, its ratio over the
+  baseline policy on the same workload (the paper's y-axis), and the mean
+  LLC MPKI;
 * one :class:`PolicySummary` per policy — geometric means over its cells
   with a seed-clustered bootstrap confidence interval
   (:mod:`repro.report.stats`);
@@ -16,8 +17,8 @@ need.  This module turns those raw records into ranked statistics:
   the pair shares no cells (rendered ``-``, excluded from win rates — a
   genuine 50% tie and "never met" must stay distinguishable).
 
-Everything is read through the store's typed query API
-(:meth:`~repro.runner.store.ResultStore.query`); this module has no
+Everything is read in one pass of the store's typed entry API
+(:meth:`~repro.runner.store.ResultStore.entries`); this module has no
 knowledge of the on-disk JSON layout.  Records that cannot be aggregated —
 parameterised :class:`~repro.policies.spec.PolicySpec` sweeps from the
 ablation figures, runs whose solo baselines or baseline-policy partner
@@ -27,6 +28,7 @@ figure campaigns still reports cleanly on its tournament subset.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -54,10 +56,14 @@ class Cell:
     rel_ws: float
     #: Mean LLC misses per kilo-instruction across the workload's cores.
     llc_mpki: float
+    #: What the workload's ``tgt:`` names were bound to, one
+    #: :class:`~repro.targets.registry.TargetSpec` each (empty when synthetic).
+    targets: tuple = ()
 
-    def group_key(self) -> tuple[str, str, int]:
-        """The comparison group: same workload, platform and seed."""
-        return (self.workload, self.config_name, self.seed)
+    def group_key(self) -> tuple:
+        """The comparison group: same workload, platform, seed and bound
+        target content."""
+        return (self.workload, self.config_name, self.seed, self.targets)
 
 
 @dataclass
@@ -128,34 +134,33 @@ def _config_identity(config) -> str:
     return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _alone_ipcs(store: ResultStore) -> dict[tuple[str, int, str], tuple[int, float]]:
-    """``(benchmark, seed, solo-platform) -> (quota, IPC_alone)`` lookup.
+def _add_alone(alone: dict, record: StoredResult, platform) -> None:
+    """Fold one ``alone`` run into the ``IPC_alone`` lookup *alone*:
+    ``(benchmark, seed, solo-platform, binding) -> (rank, IPC_alone)``.
 
-    When a benchmark was measured more than once (different budgets, a
-    monitored Table 4 characterisation run), the highest-quota
-    unmonitored run wins — monitors are passive so the IPC matches, but
-    preferring the plain run keeps the choice canonical.
+    ``binding`` is the run's bound :class:`~repro.targets.registry.TargetSpec`
+    tuple (empty for a synthetic benchmark), so two ingests under one
+    ``tgt:`` name keep separate baselines.  When a benchmark was measured
+    more than once (different budgets, a monitored Table 4
+    characterisation run), the highest-quota unmonitored run wins —
+    monitors are passive so the IPC matches, but preferring the plain run
+    keeps the choice canonical.
     """
-    alone: dict[tuple[str, int, str], tuple[int, float]] = {}
-    ranked: dict[tuple[str, int, str], tuple[int, int]] = {}
-    for record in store.query(kind="alone"):
-        job = record.job
-        key = (job.benchmark, job.master_seed, _config_identity(job.config))
-        rank = (0 if job.monitor else 1, job.quota)
-        if key in ranked and ranked[key] >= rank:
-            continue
-        ranked[key] = rank
-        alone[key] = (job.quota, record.result().ipc)
-    return alone
-
-
-def _workload_ws(record: StoredResult, alone) -> tuple[float, float] | None:
-    """(weighted speed-up, mean LLC MPKI) for one workload record."""
     job = record.job
-    solo = _config_identity(job.config.with_cores(1))
+    key = (job.benchmark, job.master_seed, platform(job.config), job.targets)
+    rank = (0 if job.monitor else 1, job.quota)
+    if key not in alone or alone[key][0] < rank:
+        alone[key] = (rank, record.result().ipc)
+
+
+def _workload_ws(record: StoredResult, alone, solo: str) -> tuple[float, float] | None:
+    """(weighted speed-up, mean LLC MPKI) for one workload record whose
+    solo platform identity is *solo*."""
+    job = record.job
+    bound = {spec.name: (spec,) for spec in job.targets}
     baselines = []
     for benchmark in job.benchmarks:
-        entry = alone.get((benchmark, job.master_seed, solo))
+        entry = alone.get((benchmark, job.master_seed, solo, bound.get(benchmark, ())))
         if entry is None:
             return None
         baselines.append(entry[1])
@@ -170,31 +175,53 @@ def gather(store: ResultStore, baseline: str = DEFAULT_BASELINE) -> TournamentDa
     """Collect every tournament-shaped cell from *store*.
 
     A cell needs three things: a plain (non-parameterised) policy name, a
-    solo baseline for each of its benchmarks under the same platform and
-    seed, and a baseline-policy run of the same workload to normalise
-    against.  Records missing any of them are counted per reason.
+    solo baseline for each of its benchmarks under the same platform, seed
+    and target binding, and a baseline-policy run of the same workload,
+    platform, seed and binding to normalise against.  Records missing any
+    of them are counted per reason.
+
+    The store is read in one pass (:meth:`ResultStore.entries`), so each
+    stored file is opened and decoded once, and each distinct platform's
+    identity string is built once.
     """
     data = TournamentData(baseline=baseline)
-    data.failed_cells = sum(1 for _ in store.failures())
-    alone = _alone_ipcs(store)
-    # (workload, platform, seed) -> policy -> (record, ws, mpki)
+    platform = functools.cache(_config_identity)
+
+    @functools.cache
+    def solo_platform(config) -> str:
+        return platform(config.with_cores(1))
+
+    alone: dict[tuple, tuple[tuple[int, int], float]] = {}
+    workload_records: list[StoredResult] = []
+    for entry in store.entries():
+        if not isinstance(entry, StoredResult):
+            data.failed_cells += 1
+        elif entry.kind == "alone":
+            _add_alone(alone, entry, platform)
+        else:
+            workload_records.append(entry)
+    # (workload, platform, seed, binding) -> policy -> (record, ws, mpki)
     groups: dict[tuple, dict[str, tuple[StoredResult, float, float]]] = {}
-    for record in store.query(kind="workload"):
-        if not isinstance(record.job.policy, str):
+    for record in workload_records:
+        job = record.job
+        if not isinstance(job.policy, str):
             data.skipped_parameterised += 1
             continue
-        measured = _workload_ws(record, alone)
+        measured = _workload_ws(record, alone, solo_platform(job.config))
         if measured is None:
             data.skipped_no_alone += 1
             continue
-        key = (record.workload, record.config.name, record.seed)
-        groups.setdefault(key, {})[record.policy] = (record, *measured)
-    for (workload, config_name, seed), by_policy in sorted(groups.items()):
+        key = (job.workload_name, job.config.name, job.master_seed, job.targets)
+        groups.setdefault(key, {})[job.policy] = (record, *measured)
+    for (workload, config_name, seed, targets), by_policy in sorted(
+        groups.items(), key=lambda item: _group_order(item[0])
+    ):
         base = by_policy.get(baseline)
         if base is None:
             data.skipped_no_baseline += len(by_policy)
             continue
         base_ws = base[1]
+        bound = "".join(f"|{spec.name}={spec.key}" for spec in targets)
         for policy, (record, ws, mpki) in sorted(by_policy.items()):
             job = record.job
             if any(b.startswith("tgt:") for b in job.benchmarks):
@@ -209,14 +236,21 @@ def gather(store: ResultStore, baseline: str = DEFAULT_BASELINE) -> TournamentDa
                     ws=ws,
                     rel_ws=ws / base_ws,
                     llc_mpki=mpki,
+                    targets=targets,
                 )
             )
             data.identities.append(
                 f"{policy}|{workload}|{config_name}|{seed}"
-                f"|q{job.quota}|w{job.warmup}"
+                f"|q{job.quota}|w{job.warmup}{bound}"
             )
     data.identities.sort()
     return data
+
+
+def _group_order(key: tuple) -> tuple:
+    """Sort key of a ``gather`` group: bindings order by content key."""
+    workload, config_name, seed, targets = key
+    return (workload, config_name, seed, tuple(spec.key for spec in targets))
 
 
 def _win_matrix(data: TournamentData) -> dict[str, dict[str, float | None]]:

@@ -60,9 +60,17 @@ def cluster_bootstrap_ci(
 
     Each group is one cluster of correlated observations (in the report:
     every cell measured under one master seed).  A resample draws
-    ``len(groups)`` clusters with replacement, concatenates them and
-    applies ``stat``; the interval is the ``confidence`` percentile span
-    of the resampled statistics.
+    ``len(groups)`` clusters with replacement, concatenates them in draw
+    order and applies ``stat``; the interval is the ``confidence``
+    percentile span of the resampled statistics.
+
+    ``stat`` must be a pure function of the sample: it is evaluated once
+    per *distinct* draw (the tuple of group indices, in draw order) and
+    its value reused for every resample repeating that draw.  With G
+    groups there are at most G**G distinct draws — 4 for the usual two
+    seeds — against ``n_resamples`` resamples.  Each distinct sample is
+    built and summed exactly as a per-resample loop would, so the interval
+    is bit-identical to evaluating every resample.
 
     With one group the cluster bootstrap would be degenerate (every
     resample identical), so the single group's values are resampled
@@ -80,12 +88,11 @@ def cluster_bootstrap_ci(
         return (point, point)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, len(groups), size=(n_resamples, len(groups)))
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
-        sample: list[float] = []
-        for j in draws[i]:
-            sample.extend(groups[j])
-        stats[i] = stat(sample)
+    draws = list(map(tuple, draws.tolist()))
+    values = dict.fromkeys(draws)
+    for draw in values:
+        values[draw] = stat([v for j in draw for v in groups[j]])
+    stats = np.array([values[draw] for draw in draws], dtype=float)
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return (float(lo), float(hi))

@@ -18,9 +18,10 @@ unreadable entry is treated as a miss and overwritten on the next run.
 
 Consumers that *aggregate* the store — the :mod:`repro.report` tournament
 tables, ``traces gc`` — go through the typed query API
-(:meth:`ResultStore.records` / :meth:`ResultStore.query`, yielding
-:class:`StoredResult`) rather than walking the JSON layout themselves, so
-the on-disk encoding stays a private detail of this module.
+(:meth:`ResultStore.entries`, and its views :meth:`ResultStore.records` /
+:meth:`ResultStore.failures` / :meth:`ResultStore.query`) rather than
+walking the JSON layout themselves, so the on-disk encoding and its skip
+rules stay private details of this module.
 """
 
 from __future__ import annotations
@@ -141,13 +142,17 @@ class ResultStore:
 
     # -- typed query API ---------------------------------------------------------
 
-    def records(self) -> Iterator[StoredResult]:
-        """Every decodable stored run, in stable (key-sorted) order.
+    def entries(self) -> Iterator[StoredResult | dict]:
+        """Every stored entry, decoded once, in stable (key-sorted) order.
 
-        Entries whose schema version differs from the current encoding, or
-        whose job payload no longer reconstructs (corruption, a removed
-        job kind), are skipped — exactly the entries the execution path
-        would treat as cache misses.
+        The one enumeration of the store: a run yields a
+        :class:`StoredResult`, a persisted failure record the dict
+        :meth:`failures` describes.  Entries whose schema version differs
+        from the current encoding, or whose job payload no longer
+        reconstructs (corruption, a removed job kind), are skipped —
+        exactly the entries the execution path would treat as cache
+        misses.  :meth:`records` and :meth:`failures` are views of this
+        pass; a consumer that needs both reads the store once through it.
         """
         from repro.runner.jobs import SCHEMA_VERSION, job_from_dict
 
@@ -155,15 +160,24 @@ class ResultStore:
             payload = self.get(key)
             if not payload or payload.get("schema") != SCHEMA_VERSION:
                 continue
-            if payload.get("kind") == "failure" or "result" not in payload:
-                # Persisted FailureRecords live at job keys too; they are
-                # enumerable via :meth:`failures`, never as results.
+            if payload.get("kind") == "failure":
+                failure = dict(payload.get("failure") or {})
+                failure.setdefault("key", key)
+                failure["job"] = payload.get("job")
+                yield failure
+                continue
+            if "result" not in payload:
                 continue
             try:
                 job = job_from_dict(payload["job"])
             except (KeyError, TypeError, ValueError):
                 continue
             yield StoredResult(key=key, job=job, payload=payload)
+
+    def records(self) -> Iterator[StoredResult]:
+        """Every decodable stored run (see :meth:`entries`); persisted
+        failure records live at job keys too but are never results."""
+        return (e for e in self.entries() if isinstance(e, StoredResult))
 
     def failures(self) -> Iterator[dict]:
         """Every persisted failure record (quarantined jobs), key-sorted.
@@ -175,20 +189,7 @@ class ResultStore:
         resumed run succeeds, so this view always reflects the *current*
         holes in the store.
         """
-        from repro.runner.jobs import SCHEMA_VERSION
-
-        for key in self.keys():
-            payload = self.get(key)
-            if (
-                not payload
-                or payload.get("schema") != SCHEMA_VERSION
-                or payload.get("kind") != "failure"
-            ):
-                continue
-            failure = dict(payload.get("failure") or {})
-            failure.setdefault("key", key)
-            failure["job"] = payload.get("job")
-            yield failure
+        return (e for e in self.entries() if not isinstance(e, StoredResult))
 
     def query(
         self,

@@ -16,8 +16,10 @@
   artifact keys it hashes to are pinned, and only the capture module
   spells its fields;
 * **engine captures** — an engine's own slack-free capture grows its
-  streams only as far as the run, and engines it cannot rebuild
-  faithfully are refused;
+  streams only as far as the run, engines it cannot rebuild faithfully
+  are refused, an unswept run's capture is freed when the run returns
+  (no reference cycle), and a cached artifact keeps its live extension
+  across the replays it serves;
 * **fixed slack** — the retired ``REPRO_REPLAY_SLACK`` and
   ``REPRO_NO_REPLAY`` names change neither the artifact key nor a result.
 """
@@ -25,6 +27,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import tempfile
 from dataclasses import replace
@@ -57,6 +60,7 @@ from repro.runner.replaystore import (
 )
 from repro.sim.build import build_hierarchy, build_sources
 from repro.sim.config import CacheLevelConfig, SystemConfig
+from repro.sim.multi import run_workload
 from repro.trace.workloads import Workload
 from tests.golden.test_golden_master import CASE_IDS, CASES, _load
 
@@ -287,10 +291,10 @@ class TestCaptureIdentity:
 class TestEngineCapture:
     QUOTA, WARMUP, SEED = 200, 50, 3
 
-    def _engine(self, config, benchmarks=("mcf", "libq")):
+    def _engine(self, config, benchmarks=("mcf", "libq"), policy="ship"):
         sources = build_sources(Workload("e", benchmarks), config, self.SEED)
         return MulticoreEngine(
-            build_hierarchy(config, "ship"),
+            build_hierarchy(config, policy),
             sources,
             quota_per_core=self.QUOTA,
             warmup_accesses=self.WARMUP,
@@ -315,6 +319,59 @@ class TestEngineCapture:
         assert (len(benchmarks) == 1) == all(
             tape.length == finish for tape in bundle.tapes
         )
+
+    def test_an_unswept_run_leaves_no_tape_behind(self):
+        """With the cyclic collector off, reference counting alone frees
+        the run's in-memory capture, live continuation simulators included."""
+
+        def tapes() -> int:
+            return sum(1 for obj in gc.get_objects() if type(obj) is cap.CoreTape)
+
+        workload = Workload("e", ("mcf", "libq", "gcc"))
+        config = _config(3, True)
+        gc.collect()
+        before = tapes()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for policy in ("ship", "lru"):
+                run_workload(
+                    workload,
+                    config,
+                    policy,
+                    quota=self.QUOTA,
+                    warmup=self.WARMUP,
+                    master_seed=self.SEED,
+                )
+                assert tapes() == before
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_cached_artifact_keeps_its_live_extension(self, tmp_path):
+        """A swept artifact is replayed by every policy of its sweep: the
+        continuation a first replay attached stays on the cached bundle
+        and serves the next replay."""
+        benchmarks = ("mcf", "libq", "gcc")
+        config = _config(3, False)
+        engine = self._engine(config, benchmarks)
+        path = tmp_path / "replay-x.npz"
+        save_bundle(cap.capture_workload(cap.engine_identity(engine), 0.01), path)
+        try:
+            sims = None
+            for policy in ("ship", "lru", "eaf"):
+                bundle = replaystore.cached_bundle(path)
+                expected = self._engine(config, benchmarks, policy)._run_generic()
+                engine = self._engine(config, benchmarks, policy)
+                assert replay.run_replay(engine, bundle, finalize=True) == expected
+                if sims is None:
+                    sims = [tape.live_sim for tape in bundle.tapes]
+                    assert any(sim is not None for sim in sims)
+                else:
+                    kept = [tape.live_sim for tape in bundle.tapes]
+                    assert all(a is b for a, b in zip(sims, kept) if a is not None)
+        finally:
+            replaystore._BUNDLES.pop(str(path), None)
 
     def test_engines_it_cannot_rebuild_are_refused(self):
         config = _config(2, False)

@@ -9,6 +9,8 @@ shared-mode IPCs the test chose.  Snapshots are built with
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cpu.core import CoreSnapshot
@@ -60,6 +62,7 @@ def put_alone(
     config: SystemConfig = BASE_CONFIG,
     quota: int = 900,
     monitor: bool = False,
+    targets: tuple = (),
 ) -> str:
     job = AloneJob(
         benchmark=benchmark,
@@ -69,6 +72,7 @@ def put_alone(
         warmup=100,
         master_seed=seed,
         monitor=monitor,
+        targets=targets,
     )
     result = SingleRunResult(
         benchmark=benchmark,
@@ -89,6 +93,7 @@ def put_workload(
     ipcs: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0),
     llc_misses: int = 10,
     config: SystemConfig = BASE_CONFIG,
+    targets: tuple = (),
 ) -> str:
     job = WorkloadJob.for_workload(
         Workload(workload, benchmarks),
@@ -98,6 +103,7 @@ def put_workload(
         warmup=200,
         master_seed=seed,
     )
+    job = replace(job, targets=targets)
     result = WorkloadResult(
         workload_name=workload,
         benchmarks=benchmarks,

@@ -5,10 +5,14 @@ cell's weighted speed-up is just the sum of the shared IPCs the test
 chose, and the relative numbers below are exact.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.policies.spec import PolicySpec
 from repro.report.aggregate import gather, report_from_store
+from repro.runner import SCHEMA_VERSION, ResultStore
+from repro.targets.registry import TargetSpec
 from repro.report.tables import render_report, render_win_matrix
 from repro.util.stats import geometric_mean
 
@@ -63,6 +67,9 @@ class TestGather:
         assert data.identities == sorted(data.identities)
         assert len(data.identities) == 2
         assert all("q800" in i and "w200" in i for i in data.identities)
+        # Synthetic cells carry no binding: their identities (and so the
+        # snapshot config hash) stay as they were before bindings existed.
+        assert not any("tgt:" in i for i in data.identities)
 
     def test_seeds_and_workloads_enumerated(self, synth):
         synth.put_suite(
@@ -173,3 +180,99 @@ class TestAggregate:
         report = report_from_store(store, n_resamples=50)
         assert report.summaries == []
         assert report.data.cells == []
+
+
+def _binding(key: str, budget: int) -> TargetSpec:
+    return TargetSpec(
+        name="tgt:toy",
+        key=key,
+        fmt="champsim",
+        origin="toy.trace.gz",
+        source_sha256="0" * 64,
+        budget=budget,
+        n_accesses=budget,
+        n_chunks=1,
+        instructions_per_access=1.0,
+    )
+
+
+class TestTargetBindings:
+    """One ``tgt:`` name ingested twice: two contents, two sets of cells."""
+
+    SMALL = _binding("a" * 40, 8192)
+    LARGE = _binding("b" * 40, 65536)
+    MIX = ("tgt:toy", "lbm", "bzip", "deal")
+
+    def _fill(self, synth):
+        for benchmark in self.MIX[1:]:
+            synth.put_alone(benchmark)
+        # Each binding has its own IPC_alone for the target core.
+        synth.put_alone("tgt:toy", ipc=0.5, targets=(self.SMALL,))
+        synth.put_alone("tgt:toy", ipc=2.0, targets=(self.LARGE,))
+        for spec, lru_ipc in ((self.SMALL, 0.5), (self.LARGE, 2.0)):
+            for policy, ipcs in (("tadrrip", (1.0,) * 4), ("lru", (lru_ipc, 1.0, 1.0, 1.0))):
+                synth.put_workload(
+                    benchmarks=self.MIX, policy=policy, ipcs=ipcs, targets=(spec,)
+                )
+
+    def test_each_binding_is_normalised_by_its_own_runs(self, synth):
+        self._fill(synth)
+        data = gather(synth.store)
+        assert len(data.cells) == 4
+        assert data.real_cells == 4
+        by_binding = {
+            (c.targets[0].key, c.policy): c for c in data.cells
+        }
+        small, large = self.SMALL.key, self.LARGE.key
+        # WS = 1.0/0.5 + 3 with the small binding's baseline, 1.0/2.0 + 3
+        # with the large one's.
+        assert by_binding[small, "tadrrip"].ws == pytest.approx(5.0)
+        assert by_binding[large, "tadrrip"].ws == pytest.approx(3.5)
+        assert by_binding[small, "lru"].ws == pytest.approx(4.0)
+        assert by_binding[large, "lru"].ws == pytest.approx(4.0)
+        assert by_binding[small, "lru"].rel_ws == pytest.approx(4.0 / 5.0)
+        assert by_binding[large, "lru"].rel_ws == pytest.approx(4.0 / 3.5)
+
+    def test_both_bindings_count_in_the_report(self, synth):
+        self._fill(synth)
+        report = report_from_store(synth.store, n_resamples=50)
+        lru = report.summary_for("lru")
+        assert lru.cells == 2
+        assert lru.rel_ws_geomean == pytest.approx(geometric_mean([0.8, 4.0 / 3.5]))
+        # One head-to-head per binding: tadrrip wins one, lru the other.
+        assert report.win_matrix["lru"]["tadrrip"] == pytest.approx(0.5)
+        identities = report.data.identities
+        assert sum(f"tgt:toy={self.SMALL.key}" in i for i in identities) == 2
+        assert sum(f"tgt:toy={self.LARGE.key}" in i for i in identities) == 2
+
+
+class TestStorePass:
+    def test_report_decodes_each_stored_file_once(self, synth, monkeypatch):
+        synth.put_suite(
+            policy_ipcs={"tadrrip": (1.0,) * 4, "lru": (0.9,) * 4}, seeds=(0, 1)
+        )
+        synth.put_workload(policy=PolicySpec.of("adapt_bp32", bypass_prob=0.125))
+        store = synth.store
+        store.put(
+            "f" * 40,
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": "failure",
+                "job": None,
+                "failure": {"kind": "crash", "attempts": 2, "error": "boom"},
+            },
+        )
+        store.put("e" * 40, {"schema": SCHEMA_VERSION - 1, "kind": "workload"})
+        reads = Counter()
+        real_get = ResultStore.get
+
+        def counting_get(self, key):
+            reads[key] += 1
+            return real_get(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", counting_get)
+        report = report_from_store(store, n_resamples=50)
+        assert reads == Counter(store.keys())
+        assert report.data.failed_cells == 1
+        assert report.data.skipped_parameterised == 1
+        assert len(report.data.cells) == 4

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.report.stats import bootstrap_ci, cluster_bootstrap_ci, outside_interval
@@ -81,6 +82,82 @@ class TestClusterBootstrap:
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError):
             cluster_bootstrap_ci([[], []])
+
+
+def reference_cluster_bootstrap_ci(groups, stat, *, confidence, n_resamples, seed):
+    """The per-resample loop: ``stat`` evaluated on every resample."""
+    groups = [list(g) for g in groups if len(g)]
+    if len(groups) == 1:
+        groups = [[v] for v in groups[0]]
+    point = stat([v for g in groups for v in g])
+    if len(groups) == 1:
+        return (point, point)
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, len(groups), size=(n_resamples, len(groups)))
+    stats = np.empty(n_resamples)
+    for i in range(n_resamples):
+        sample = []
+        for j in draws[i]:
+            sample.extend(groups[j])
+        stats[i] = stat(sample)
+    alpha = (1.0 - confidence) / 2.0
+    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
+    return (float(lo), float(hi))
+
+
+#: 1-5 seed groups of unequal sizes and spread-out values.
+GROUPS = [
+    [[0.93, 1.07, 1.21]],
+    [[0.87, 1.02], [1.11, 0.96, 1.33, 0.91]],
+    [[1.04], [0.88, 0.97], [1.19, 1.02, 0.95]],
+    [[0.92, 1.08, 1.01, 0.99], [1.25], [0.81, 1.14], [1.03, 0.97, 1.06]],
+    [[1.1], [0.9, 0.95], [1.3, 1.05, 0.85], [0.99], [1.02, 1.17, 0.93, 0.89]],
+]
+
+
+class TestDistinctDrawMemo:
+    """Each distinct draw is evaluated once; the interval is bit-identical
+    to evaluating every resample."""
+
+    @pytest.mark.parametrize("groups", GROUPS, ids=lambda g: f"{len(g)}groups")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("confidence", [0.95, 0.8])
+    @pytest.mark.parametrize("stat", [geometric_mean, arithmetic_mean])
+    def test_matches_the_per_resample_loop_bit_for_bit(
+        self, groups, seed, confidence, stat
+    ):
+        kwargs = dict(confidence=confidence, n_resamples=500, seed=seed)
+        memoised = cluster_bootstrap_ci(groups, stat, **kwargs)
+        reference = reference_cluster_bootstrap_ci(groups, stat, **kwargs)
+        assert memoised == reference
+        assert all(type(bound) is float for bound in memoised)
+
+    @pytest.mark.parametrize("groups", GROUPS[1:], ids=lambda g: f"{len(g)}groups")
+    def test_stat_runs_once_per_distinct_draw(self, groups):
+        samples = []
+
+        def counting_mean(sample):
+            samples.append(tuple(sample))
+            return geometric_mean(sample)
+
+        n_resamples = 2000
+        cluster_bootstrap_ci(groups, counting_mean, n_resamples=n_resamples)
+        g = len(groups)
+        rng = np.random.default_rng(0)
+        draws = {tuple(d) for d in rng.integers(0, g, size=(n_resamples, g)).tolist()}
+        # One point estimate, then one call per distinct draw.
+        assert len(samples) == 1 + len(draws) <= 1 + min(g**g, n_resamples)
+        assert len(set(samples[1:])) == len(draws)
+
+    def test_two_groups_need_four_evaluations(self):
+        calls = []
+
+        def counting_mean(sample):
+            calls.append(sample)
+            return geometric_mean(sample)
+
+        cluster_bootstrap_ci([[0.9, 1.1], [1.2]], counting_mean)
+        assert len(calls) == 1 + 2**2
 
 
 class TestOutsideInterval:

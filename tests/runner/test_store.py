@@ -316,6 +316,29 @@ class TestQueryApi:
         assert len(store) == 4
         assert len(list(store.records())) == 1
 
+    def test_entries_hold_results_and_failures_in_key_order(self, store, tiny_config):
+        self._persist(store, self._workload_job(tiny_config))
+        failed = self._workload_job(tiny_config, policy="srrip")
+        store.put(
+            failed.cache_key(),
+            {
+                "schema": 1,
+                "kind": "failure",
+                "job": failed.to_dict(),
+                "failure": {"kind": "crash", "attempts": 2},
+            },
+        )
+        store.put("aa001", {"schema": 999, "kind": "failure", "failure": {}})
+        done = self._workload_job(tiny_config).cache_key()
+        keys = [e["key"] if isinstance(e, dict) else e.key for e in store.entries()]
+        assert keys == sorted([failed.cache_key(), done])
+        # records() and failures() are the two halves of that one pass.
+        assert [r.key for r in store.records()] == [done]
+        (failure,) = store.failures()
+        assert failure["key"] == failed.cache_key()
+        assert failure["kind"] == "crash"
+        assert failure["job"] == failed.to_dict()
+
     def test_query_filters(self, store, tiny_config):
         self._persist(store, self._workload_job(tiny_config))
         self._persist(store, self._workload_job(tiny_config, policy="srrip"))
