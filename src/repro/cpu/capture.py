@@ -23,14 +23,19 @@ config)`` and records, per core:
   warm-up-baseline and quota-completion markers, which must be replayed in
   global ``(time, core)`` order because they read live LLC statistics;
 * **private-state checkpoints** — snapshots of the L1/L2 contents,
-  replacement state, stats, and prefetcher tables at quota completion,
-  at regular intervals after it and at the stream end, kept as encoded
-  JSON bytes from the moment they are taken.  Every core of a run has
-  completed its quota when the run stops, so none is needed earlier.
+  replacement state, stats, and prefetcher tables at quota completion
+  and at regular intervals along any live extension past it, kept as
+  encoded JSON bytes from the moment they are taken.  Every core of a run
+  has completed its quota when the run stops, so none is needed earlier.
   Only the one being restored is ever decoded: the replay finaliser
   reconstructs the exact private-level end state at the run's
   policy-dependent stop point from the nearest one with a bounded
-  re-simulation, and live extension resumes from the tape-end one.
+  re-simulation, and live extension of a loaded tape resumes from the
+  tape-end one.
+
+A capture records each core up to its quota completion and no further;
+a run whose co-runner outlives its quota extends that core's stream on
+demand (:func:`extend_tape`).
 
 Every content operation mutates the same cache, policy and prefetcher
 state in the same order as the generic engine loop
@@ -42,8 +47,8 @@ What a capture depends on is its :class:`CaptureIdentity`, built from a
 job by :func:`job_identity` and from an engine by :func:`engine_identity`;
 a capture serves exactly the runs whose identity equals its own.  A policy
 sweep's capture is saved once and handed to every swept run
-(:mod:`repro.runner.replaystore`); any other fast run captures its own
-workload in memory first (:func:`repro.cpu.fastpath.run_fast`).
+(:mod:`repro.runner.replaystore`); any other fast run makes the same
+capture in memory first (:func:`repro.cpu.fastpath.run_fast`).
 """
 
 from __future__ import annotations
@@ -74,26 +79,19 @@ EV_WB0, EV_WB1, EV_ND, EV_DEMAND, EV_BASELINE, EV_SNAPSHOT = 0, 1, 2, 3, 4, 5
 EVENT_DTYPE = np.dtype([("step", "<u8"), ("kind", "u1"), ("addr", "<i8"), ("pc", "<i8")])
 
 #: Capture artifact layout version (part of every content address).
-CAPTURE_FORMAT = 2
-
-#: Captured-stream over-provisioning beyond the quota-completion index.
-#: Cores that finish early keep running until the slowest core completes,
-#: so each stream is captured ``1 + slack`` times the per-core access
-#: budget; a replay that outruns a stream switches to live private-level
-#: continuation (bit-identical, and the extension is appended to the
-#: bundle so later replays of the same bundle reuse it).  Typical mixes
-#: overrun by a few percent, so the default stays lean.
-REPLAY_SLACK = 0.25
+CAPTURE_FORMAT = 3
 
 #: Accesses one live extension appends to a stream.  Small, because how
 #: far a run outlives its stream is not known in advance, and every
 #: access captured past the run's end is wasted private-level work.
+#: The extension is appended to the bundle, so later replays of the same
+#: bundle reuse it.
 EXTENSION_STEP = 256
 
-#: Private-state checkpoints are spaced 1/_TARGET_CHECKPOINTS of the
-#: stream apart (the replay finaliser re-simulates at most one
-#: inter-checkpoint span per core, so denser checkpoints trade a little
-#: capture memory for faster finalised replays).
+#: Checkpoints along a live extension are spaced 1/_TARGET_CHECKPOINTS of
+#: the captured ``quota + warmup`` apart (the replay finaliser re-simulates
+#: at most one inter-checkpoint span per core, so denser checkpoints trade
+#: a little memory for faster finalised replays).
 _TARGET_CHECKPOINTS = 24
 
 
@@ -112,8 +110,7 @@ class CaptureIdentity(NamedTuple):
     order is the one :func:`repro.runner.replaystore.replay_key` hashes,
     so it is part of every artifact's name.
 
-    A capture's meta is these fields (:meth:`to_meta`) plus ``format``,
-    ``slack`` and ``length``.
+    A capture's meta is these fields (:meth:`to_meta`) plus ``format``.
     """
 
     benchmarks: tuple
@@ -144,9 +141,6 @@ class CaptureIdentity(NamedTuple):
         """The identity a capture's meta records."""
         fields = {name: meta[name] for name in cls._fields}
         fields["benchmarks"] = tuple(map(_trace_from_meta, fields["benchmarks"]))
-        if not fields["l2_stride_prefetch"]:
-            # Older builds saved the configured degree here.
-            fields["l2_prefetch_degree"] = 0
         return cls(**fields)
 
     def geometry(self) -> Geometry:
@@ -248,11 +242,6 @@ def engine_identity(engine) -> CaptureIdentity | None:
     return identity._replace(benchmarks=tuple(names))
 
 
-def _checkpoint_interval(length: int) -> int:
-    """Accesses between private-state checkpoints on a *length*-access stream."""
-    return max(TraceSource.CHUNK, -(-length // _TARGET_CHECKPOINTS))
-
-
 def _decode_chunk(source, set_mask: int, limit: int) -> tuple:
     """Fetch and pre-decode the next *limit* accesses of the current chunk.
 
@@ -339,8 +328,8 @@ class CoreTape:
         self.finish: dict | None = None
         self.length = 0
         #: Continuation simulator at the tape end: the capture's own on a
-        #: slack-free capture, else attached by the replay kernel when a run
-        #: first outlives the stream.
+        #: fresh capture, else rebuilt from the tape-end checkpoint when a
+        #: run first outlives a loaded tape (:func:`extend_tape`).
         self.live_sim: PrivateCoreSim | None = None
 
     def add_checkpoint(self, state: dict) -> None:
@@ -917,81 +906,66 @@ def advance_source(source, n: int) -> None:
         consumed += take
 
 
-def capture_workload(identity: CaptureIdentity, slack: float = REPLAY_SLACK) -> CaptureBundle:
+def _mark(tape: CoreTape, sim: PrivateCoreSim, kind: int) -> dict:
+    """Append a *kind* marker at *sim*'s last access; returns the stat record
+    the replay kernel reads there."""
+    tape.ev_step.append(sim.count - 1)
+    tape.ev_kind.append(kind)
+    tape.ev_addr.append(0)
+    tape.ev_pc.append(0)
+    return {
+        "l1_demand_misses": sim.l1.stats.demand_misses[0],
+        "l2_demand_misses": sim.l2.stats.demand_misses[0],
+        "instructions": sim.instr,
+    }
+
+
+def capture_workload(identity: CaptureIdentity) -> CaptureBundle:
     """Capture the private-level streams of one :class:`CaptureIdentity`.
 
-    Builds fresh sources and private levels (independent of any engine),
-    simulates each core ``(quota + warmup) * (1 + slack)`` accesses, and
-    returns the bundle the replay kernel consumes.  Sources go through
-    :func:`repro.trace.benchmarks.make_source`, like every other run.
+    Builds fresh sources and private levels (independent of any engine)
+    and simulates each core to its quota completion, ``quota + warmup``
+    accesses: the tape holds the warm-up baseline marker, the snapshot
+    marker and one checkpoint there.  Each capture's simulator stays on
+    its tape (:attr:`CoreTape.live_sim`), so a co-runner that outlives its
+    quota continues the stream on it (:func:`extend_tape`).  Sources go
+    through :func:`repro.trace.benchmarks.make_source`, like every other
+    run.
     """
     warmup = identity.warmup
-    finish = identity.quota + warmup
-    n_cap = finish + int(round(slack * finish))
-    interval = _checkpoint_interval(n_cap)
-    meta = {"format": CAPTURE_FORMAT, **identity.to_meta(), "slack": slack, "length": n_cap}
     geometry = identity.geometry()
-
     tapes: list[CoreTape] = []
     for core_id, name in enumerate(identity.benchmarks):
         source = make_source(name, geometry, core_id, identity.master_seed)
         l1, l2, prefetcher = _fresh_private_level(identity, core_id)
         tape = CoreTape()
         sim = PrivateCoreSim(l1, l2, prefetcher, identity.l1_next_line_prefetch, source)
-        # Checkpoints from quota completion on: every core of a run has
+        if warmup > 0:
+            sim.run(warmup, tape)
+            tape.baseline = _mark(tape, sim, EV_BASELINE)
+        sim.run(identity.quota, tape)
+        tape.finish = _mark(tape, sim, EV_SNAPSHOT)
+        # Checkpoints start at quota completion: every core of a run has
         # reached it when the run ends, so the finaliser never restores an
         # earlier one.
-        boundaries = {finish, n_cap}
-        boundaries.update(range(interval * (finish // interval + 1), n_cap, interval))
-        if warmup > 0:
-            boundaries.add(warmup)
-        done = 0
-        for boundary in sorted(boundaries):
-            sim.run(boundary - done, tape)
-            done = boundary
-            if boundary == warmup and warmup > 0:
-                tape.baseline = {
-                    "l1_demand_misses": l1.stats.demand_misses[0],
-                    "l2_demand_misses": l2.stats.demand_misses[0],
-                    "instructions": sim.instr,
-                }
-                tape.ev_step.append(boundary - 1)
-                tape.ev_kind.append(EV_BASELINE)
-                tape.ev_addr.append(0)
-                tape.ev_pc.append(0)
-            if boundary == finish:
-                tape.finish = {
-                    "l1_demand_misses": l1.stats.demand_misses[0],
-                    "l2_demand_misses": l2.stats.demand_misses[0],
-                    "instructions": sim.instr,
-                }
-                tape.ev_step.append(boundary - 1)
-                tape.ev_kind.append(EV_SNAPSHOT)
-                tape.ev_addr.append(0)
-                tape.ev_pc.append(0)
-            if boundary >= finish:
-                tape.add_checkpoint(sim.snapshot_state())
-        if n_cap == finish:
-            # Without slack, every co-runner that outlives its own quota
-            # continues the stream: keep the simulator on the tape for that,
-            # rather than rebuild it from the tape-end checkpoint.
-            sim.release_chunk()
-            tape.live_sim = sim
+        tape.add_checkpoint(sim.snapshot_state())
+        sim.release_chunk()
+        tape.live_sim = sim
         tapes.append(tape)
-
-    return CaptureBundle(meta, tapes)
+    return CaptureBundle({"format": CAPTURE_FORMAT, **identity.to_meta()}, tapes)
 
 
 def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
     """Live continuation: append *n* more captured accesses to one tape.
 
     Used by the replay kernel when a run outlives the captured stream
-    (heavy completion-time skew between co-runners).  The continuation
-    runs on the tape's continuation simulator: the capture's own on a
-    slack-free capture, else scratch private levels resumed from the
-    tape-end checkpoint — the engine's own objects stay untouched for the
-    final reconstruction — and appends a checkpoint every interval so the
-    finaliser can pick up near the new end.
+    (every co-runner that finishes its quota before the slowest core).
+    The continuation runs on the tape's continuation simulator: the
+    capture's own on a fresh capture, else — on a loaded artifact —
+    scratch private levels resumed from the tape-end checkpoint, so the
+    engine's own objects stay untouched for the final reconstruction.  It
+    appends a checkpoint every interval so the finaliser can pick up near
+    the new end.
     """
     tape = bundle.tapes[core_id]
     sim = tape.live_sim
@@ -1009,10 +983,11 @@ def extend_tape(bundle: CaptureBundle, core_id: int, n: int) -> None:
         advance_source(source, tape.checkpoint_index[-1])
         tape.live_sim = sim
     sim.run(n, tape)
-    # Keep the capture pass's checkpoint density: further extension resumes
-    # from the persistent live_sim, and the replay finaliser only needs a
+    # Checkpoint density stays fixed: further extension resumes from the
+    # persistent live_sim, and the replay finaliser only needs a
     # checkpoint within one interval of the final cut — appending one per
     # extension step would bloat long overruns for no benefit.
-    interval = _checkpoint_interval(bundle.meta["length"])
+    captured = bundle.meta["quota"] + bundle.meta["warmup"]
+    interval = max(TraceSource.CHUNK, -(-captured // _TARGET_CHECKPOINTS))
     if sim.count - tape.checkpoint_index[-1] >= interval:
         tape.add_checkpoint(sim.snapshot_state())

@@ -146,8 +146,9 @@ def run_fast(engine, bundle=None, finalize: bool = True) -> list | None:
     generic loop.  ``finalize`` is :func:`repro.cpu.replay.run_replay`'s:
     callers that read only the snapshots and the LLC side pass ``False``.
 
-    The in-memory capture has no slack: a co-runner that outlives its
-    quota continues its stream on the capture's own simulator,
+    The in-memory capture is the one a sweep saves: it stops at each
+    core's quota completion, and a co-runner that outlives its quota
+    continues its stream on the capture's own simulator,
     :data:`~repro.cpu.capture.EXTENSION_STEP` accesses at a time, so
     little is captured past the run's end.
 
@@ -163,4 +164,4 @@ def run_fast(engine, bundle=None, finalize: bool = True) -> list | None:
     identity = capture.engine_identity(engine)
     if identity is None:
         return None
-    return replay.run_replay(engine, capture.capture_workload(identity, 0.0), finalize=finalize)
+    return replay.run_replay(engine, capture.capture_workload(identity), finalize=finalize)

@@ -9,18 +9,25 @@ bypass wrapper (:mod:`repro.policies.bypass`) and the name-based factory
 :mod:`repro.core` but registers here.
 """
 
-from repro.policies.base import BYPASS, ReplacementPolicy
-from repro.policies.bypass import BypassWrapper
-from repro.policies.drrip import DrripPolicy
-from repro.policies.dueling import DuelMap
-from repro.policies.eaf import BloomFilter, EafPolicy
-from repro.policies.lru import BipPolicy, DipPolicy, LipPolicy, LruPolicy
-from repro.policies.random_ import RandomPolicy
-from repro.policies.registry import PAPER_POLICIES, available_policies, make_policy
-from repro.policies.rrip import BrripPolicy, RripPolicyBase, SrripPolicy
-from repro.policies.ship import ShipPolicy
-from repro.policies.spec import PolicySpec, policy_key
-from repro.policies.tadrrip import TaDrripPolicy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.policies.base": ("BYPASS", "ReplacementPolicy"),
+        "repro.policies.bypass": ("BypassWrapper",),
+        "repro.policies.drrip": ("DrripPolicy",),
+        "repro.policies.dueling": ("DuelMap",),
+        "repro.policies.eaf": ("BloomFilter", "EafPolicy"),
+        "repro.policies.lru": ("BipPolicy", "DipPolicy", "LipPolicy", "LruPolicy"),
+        "repro.policies.random_": ("RandomPolicy",),
+        "repro.policies.registry": ("PAPER_POLICIES", "available_policies", "make_policy"),
+        "repro.policies.rrip": ("BrripPolicy", "RripPolicyBase", "SrripPolicy"),
+        "repro.policies.ship": ("ShipPolicy",),
+        "repro.policies.spec": ("PolicySpec", "policy_key"),
+        "repro.policies.tadrrip": ("TaDrripPolicy",),
+    },
+)
 
 __all__ = [
     "BYPASS",

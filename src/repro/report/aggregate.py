@@ -60,10 +60,14 @@ class Cell:
     #: :class:`~repro.targets.registry.TargetSpec` each (empty when synthetic).
     targets: tuple = ()
 
+    def slot_key(self) -> tuple:
+        """The workload slot: same workload, platform and bound target
+        content."""
+        return (self.workload, self.config_name, self.targets)
+
     def group_key(self) -> tuple:
-        """The comparison group: same workload, platform, seed and bound
-        target content."""
-        return (self.workload, self.config_name, self.seed, self.targets)
+        """The comparison group: one workload slot under one seed."""
+        return (*self.slot_key(), self.seed)
 
 
 @dataclass
@@ -96,6 +100,13 @@ class TournamentData:
     @property
     def workloads(self) -> list[str]:
         return sorted({c.workload for c in self.cells})
+
+    @property
+    def slots(self) -> int:
+        """How many workload slots (:meth:`Cell.slot_key`) the cells fill:
+        one ``tgt:`` workload run under two bindings is one name in
+        :attr:`workloads` but two slots."""
+        return len({c.slot_key() for c in self.cells})
 
 
 @dataclass(frozen=True)

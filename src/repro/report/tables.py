@@ -25,7 +25,7 @@ def render_ranked(report: TournamentReport) -> str:
     data = report.data
     header = (
         f"== policy tournament: {len(data.cells)} cells "
-        f"({len(data.policies)} policies x {len(data.workloads)} workload slots "
+        f"({len(data.policies)} policies x {data.slots} workload slots "
         f"x {len(data.seeds)} seeds), rel WS over {data.baseline} =="
     )
     lines = [

@@ -38,10 +38,10 @@ from typing import TYPE_CHECKING
 from repro.policies.spec import PolicySpec
 from repro.sim.config import SystemConfig
 from repro.sim.results import SingleRunResult, WorkloadResult
-from repro.trace.workloads import Workload
 
 if TYPE_CHECKING:
     from repro.targets.registry import TargetSpec
+    from repro.trace.workloads import Workload
 
 #: Bump when the job/result encoding changes incompatibly; part of every
 #: cache key so stale store entries are simply never hit.
@@ -152,6 +152,7 @@ class WorkloadJob:
         """
         from repro.runner.replaystore import cached_bundle
         from repro.sim.multi import run_workload
+        from repro.trace.workloads import Workload
 
         workload = Workload(self.workload_name, self.benchmarks)
         return run_workload(

@@ -15,8 +15,10 @@ fast path for single-job batches.
 
 Policy sweeps (two or more miss jobs over one workload and platform,
 differing only in LLC policy) run a once-per-platform private-level
-*capture* pass (:mod:`repro.runner.replaystore`), so every swept job
-executes on the LLC-only replay kernel and reads no trace at all.
+*capture* pass (:mod:`repro.runner.replaystore`) that records each core
+to its quota completion, so every swept job executes on the LLC-only
+replay kernel and simulates private levels only where a core outlives
+its quota (live extension of the loaded capture).
 Captures and sim jobs share one dependency-edged queue: each sweep's
 replays are submitted the moment *its* capture lands, each carrying that
 capture's artifact path, so a slow capture never stalls unrelated
@@ -283,14 +285,16 @@ class ParallelRunner:
         same workload, private-level platform and budgets, different LLC
         policy.  Returns one ``(capture key, worker payload)`` per sweep,
         and ``{sim key: (capture key, artifact path)}`` for every swept
-        job.  Both are empty when the batch's *record* pins the generic
-        loop (``REPRO_NO_FASTPATH``), when nothing is swept, or when the
-        store root is unavailable — every one of which runs the batch
-        without replay.
+        job.  The capture key and the artifact name both carry the
+        identity's :func:`replay_key`, the address ``traces gc`` keeps
+        the artifact by.  Both are empty when the batch's *record* pins
+        the generic loop (``REPRO_NO_FASTPATH``), when nothing is swept,
+        or when the store root is unavailable — every one of which runs
+        the batch without replay.
         """
         if len(misses) < 2 or record.no_fastpath:
             return [], {}
-        from repro.cpu.capture import REPLAY_SLACK, job_identity
+        from repro.cpu.capture import job_identity
 
         sweeps: dict[tuple, list[tuple[str, Job]]] = {}
         for key, job in misses:
@@ -309,7 +313,7 @@ class ParallelRunner:
         capture_jobs: list[tuple[str, dict]] = []
         routes: dict[str, tuple[str, str]] = {}
         for identity, members in swept.items():
-            rkey = replay_key(identity, REPLAY_SLACK)
+            rkey = replay_key(identity)
             ckey = f"capture:{rkey}"
             capture_jobs.append((ckey, {"root": str(store.root), "identity": identity}))
             path = str(store.path_for(rkey))

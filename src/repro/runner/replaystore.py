@@ -14,9 +14,11 @@ capture's meta, baseline/finish stat records).  Loading slices the
 checkpoint blobs back into ``bytes`` without decoding any: the replay
 kernel decodes only the one it restores.  Files are written atomically
 and addressed by :func:`replay_key`, a SHA-256 over the
-:class:`~repro.cpu.capture.CaptureIdentity`, the slack and
-``CAPTURE_FORMAT``, so a stale, foreign or superseded file is simply
-never loaded.
+:class:`~repro.cpu.capture.CaptureIdentity` and ``CAPTURE_FORMAT``, so a
+stale, foreign or superseded file is simply never loaded.  An artifact
+is the bundle :func:`~repro.cpu.capture.capture_workload` returns, every
+core recorded to its quota completion: the same capture an unswept run
+makes in memory.
 
 The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
 
@@ -33,8 +35,13 @@ The lifecycle is driven by :class:`~repro.runner.parallel.ParallelRunner`:
    artifact once per sweep) and hands the bundle to
    :func:`repro.sim.multi.run_workload`, which replays it when its
    identity equals the run's (:func:`~repro.cpu.capture.engine_identity`)
-   and otherwise captures the run's own workload in memory;
-4. files persist and are reused content-addressed by later invocations.
+   and otherwise captures the run's own workload in memory; a loaded
+   tape that a run outlives is extended live from its tape-end
+   checkpoint (:func:`~repro.cpu.capture.extend_tape`), and the
+   extension stays on the cached bundle for the sweep's later replays;
+4. files persist and are reused content-addressed by later invocations,
+   until ``traces gc`` (:mod:`repro.runner.tracegc`) removes the ones
+   no stored result's identity hashes to.
 
 Results are bit-identical whichever kernel runs a job.
 """
@@ -65,8 +72,8 @@ _KEY_LEN = 40
 CHECKPOINT_DTYPE = np.dtype([("index", "<u8"), ("end", "<u8")])
 
 
-def replay_key(identity: CaptureIdentity, slack: float) -> str:
-    """Content address of one capture artifact.
+def replay_key(identity: CaptureIdentity) -> str:
+    """Content address of one capture artifact: its identity and format.
 
     Hashes the identity's values in field order: renaming a
     :class:`~repro.cpu.capture.CaptureIdentity` field keeps every key,
@@ -75,7 +82,7 @@ def replay_key(identity: CaptureIdentity, slack: float) -> str:
     from repro.cpu.capture import CAPTURE_FORMAT
 
     blob = json.dumps(
-        {"v": CAPTURE_FORMAT, "identity": list(identity.to_meta().values()), "slack": slack},
+        {"v": CAPTURE_FORMAT, "identity": list(identity.to_meta().values())},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -126,8 +133,8 @@ def load_meta(path: Path | str) -> dict | None:
     """Just an artifact's meta block (no tapes); ``None`` on any damage.
 
     Any ``CAPTURE_FORMAT`` is returned as written: callers that go on to
-    use the artifact compare ``meta["format"]`` themselves, and the gc
-    pass must tell a superseded format (garbage) from damage.
+    use the artifact compare ``meta["format"]`` themselves, and ``traces
+    ls`` names a superseded format.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -193,13 +200,13 @@ class ReplayStore:
         """Capture (or find) the artifact of *identity*; returns its path."""
         from repro.cpu import capture
 
-        path = self.path_for(replay_key(identity, capture.REPLAY_SLACK))
+        path = self.path_for(replay_key(identity))
         if path.is_file() and verify_artifact(path) is False:
             # Damage found before reuse: preserve the evidence out of the
             # live namespace and fall through to a fresh capture.
             quarantine(path, reason="replay checksum mismatch")
         if not path.is_file():
-            bundle = capture.capture_workload(identity, capture.REPLAY_SLACK)
+            bundle = capture.capture_workload(identity)
             save_bundle(bundle, path)
             write_checksum(path)
             faults.corrupt_artifact("replay", path, path.name)

@@ -7,19 +7,21 @@ pruned them, so heavily-used stores grew without bound.
 
 ``collect_garbage`` walks every stored result (via the store's typed
 :meth:`~repro.runner.store.ResultStore.records` API — this module knows
-nothing about the on-disk JSON layout), collects the capture identity
-each workload job would replay, and removes every artifact no stored
-result references.  A capture written in a superseded
-``CAPTURE_FORMAT`` is garbage too, even when a stored result references
-its identity: its content address can never be looked up again.
+nothing about the on-disk JSON layout) and keeps a ``replay-*.npz``
+exactly when its name is the address a runner would look it up by:
+``replay-{replay_key(job_identity(...))}.npz`` for some stored workload
+result.  Everything else is garbage — orphans, captures of a superseded
+``CAPTURE_FORMAT`` and captures written by builds that hashed more into
+the address alike, since no runner can ever look them up again.
 Ingested ``target-*.npy`` buffers are pinned by the ``targets.json``
 registry instead; any other ``.npy`` — such as the synthetic trace
 buffers older builds wrote — is garbage.
 
-The pass also *audits* the buffers it keeps: a referenced artifact whose
-checksum sidecar no longer matches — or whose npz structure no longer
-loads — is reported as corrupt, and moved to ``traces/quarantine/``
-under ``--fix`` (the next sweep regenerates it from a plain miss).
+The pass also *audits* the buffers it keeps: a kept artifact whose
+checksum sidecar no longer matches — or, for a capture, whose npz
+structure no longer loads — is reported as corrupt, and moved to
+``traces/quarantine/`` under ``--fix`` (the next sweep regenerates it
+from a plain miss).
 Orphaned ``.sha256`` sidecars are swept with their artifacts.  Exposed
 as ``repro-experiments traces gc``.
 """
@@ -96,34 +98,27 @@ class GcReport:
         return "\n".join(lines)
 
 
-def _referenced(store: ResultStore) -> tuple[int, set[tuple]]:
+def _referenced(store: ResultStore) -> tuple[int, set[str]]:
     """What the currently-stored results reference.
 
-    Returns ``(results scanned, replay-capture identities)``.  Replay
-    artifacts are matched by the *identity* embedded in each file — not
-    by recomputing the content address — because the slack is part of
-    the address: an artifact an older build wrote under another slack
-    stays in use while a stored result references its identity.
+    Returns ``(results scanned, replay-capture file names)``: each stored
+    workload result's capture address, computed exactly as the runner
+    computes it when it plans the capture.
     """
     from repro.cpu.capture import job_identity
+    from repro.runner.replaystore import replay_key
 
     scanned = 0
-    identities: set[tuple] = set()
+    names: set[str] = set()
     for record in store.records():
         job = record.job
         scanned += 1
         if job.kind == "workload":
-            identities.add(
-                job_identity(
-                    job.traces(), job.config, job.quota, job.warmup, job.master_seed
-                )
+            identity = job_identity(
+                job.traces(), job.config, job.quota, job.warmup, job.master_seed
             )
-    return scanned, identities
-
-
-def _is_corrupt(path: Path, structurally_dead: bool = False) -> bool:
-    """Whether a kept artifact fails its integrity checks."""
-    return structurally_dead or verify_artifact(path) is False
+            names.add(f"replay-{replay_key(identity)}.npz")
+    return scanned, names
 
 
 def _registry_names(traces_dir: Path) -> tuple[set[str], dict[str, str]]:
@@ -196,11 +191,10 @@ def collect_garbage(
     ``traces/quarantine/`` so the next sweep regenerates them; without it
     they are only reported.
     """
-    from repro.cpu.capture import CAPTURE_FORMAT, CaptureIdentity
     from repro.runner.replaystore import load_meta
 
     store = ResultStore(results_dir)
-    scanned, replay_identities = _referenced(store)
+    scanned, replay_names = _referenced(store)
     traces_dir = store.root / "traces"
     target_names, target_provenance = _registry_names(traces_dir)
     kept: list[str] = []
@@ -216,40 +210,20 @@ def collect_garbage(
             for p in traces_dir.glob(pattern)
         )
         for path in candidates:
-            if path.name in target_names:
-                if _is_corrupt(path):
+            is_target = path.name in target_names
+            if is_target or path.name in replay_names:
+                if verify_artifact(path) is False or (
+                    not is_target and load_meta(path) is None
+                ):
                     corrupt.append(path.name)
                     if fix and not dry_run:
-                        quarantine(path, reason="trace integrity check failed")
+                        kind = "trace" if is_target else "replay"
+                        quarantine(path, reason=f"{kind} integrity check failed")
                         continue
                 kept.append(path.name)
-                kept_targets[path.name] = target_provenance[path.name]
+                if is_target:
+                    kept_targets[path.name] = target_provenance[path.name]
                 continue
-            if path.suffix == ".npz":
-                meta = load_meta(path)
-                if (
-                    meta is not None
-                    and meta.get("format") == CAPTURE_FORMAT
-                    and CaptureIdentity.from_meta(meta) in replay_identities
-                ):
-                    if _is_corrupt(path):
-                        corrupt.append(path.name)
-                        if fix and not dry_run:
-                            quarantine(path, reason="replay integrity check failed")
-                            continue
-                    kept.append(path.name)
-                    continue
-                if meta is None and verify_artifact(path) is not None:
-                    # A checksummed artifact that no longer loads is
-                    # damage, not garbage: a referenced identity may be
-                    # hiding inside, so preserve the evidence.  One that
-                    # loads in another format falls through as garbage.
-                    corrupt.append(path.name)
-                    if fix and not dry_run:
-                        quarantine(path, reason="replay unreadable")
-                    else:
-                        kept.append(path.name)
-                    continue
             try:
                 stat = path.stat()
             except OSError:
@@ -285,7 +259,7 @@ def collect_garbage(
                 freed += size
     return GcReport(
         results_scanned=scanned,
-        referenced=len(replay_identities),
+        referenced=len(replay_names),
         kept=kept,
         removed=removed,
         freed_bytes=freed,

@@ -4,23 +4,27 @@
   :meth:`repro.runner.jobs.WorkloadJob.execute` handed a
   store-materialised artifact (the path a policy sweep takes, replaying
   with ``finalize=False``), returns exactly the generic loop's result;
-* **capture slack** — a lean capture (every overrun served by live-tail
-  continuation) and a generous one both drive the replay kernel to the
-  committed golden fixtures;
+* **continuation routes** — every capture stops at quota completion, and
+  a co-runner that outlives its quota continues its stream either on the
+  capture's own simulator (a capture replayed in memory) or on one
+  rebuilt from the tape-end checkpoint (a capture saved, loaded and
+  replayed); both routes drive the replay kernel to the committed golden
+  fixtures;
 * **determinism** — hypothesis-drawn platforms, budgets and seeds
-  capture to byte-identical artifacts, in memory and after a save/load
-  round trip (checkpoints embed the complete private-level state, so
-  this is state-for-state reproducibility);
+  capture to byte-identical artifacts, and either continuation route
+  extends them to byte-identical tapes (checkpoints embed the complete
+  private-level state, so this is state-for-state reproducibility);
 * **capture identity** — the job builder, the engine builder, a saved
-  artifact's meta and an in-memory capture's meta give one identity, the
-  artifact keys it hashes to are pinned, and only the capture module
+  artifact's meta and an in-memory capture's meta give one identity, a
+  saved artifact is the in-memory capture byte for byte, the artifact
+  keys the identity hashes to are pinned, and only the capture module
   spells its fields;
-* **engine captures** — an engine's own slack-free capture grows its
-  streams only as far as the run, engines it cannot rebuild faithfully
-  are refused, an unswept run's capture is freed when the run returns
-  (no reference cycle), and a cached artifact keeps its live extension
-  across the replays it serves;
-* **fixed slack** — the retired ``REPRO_REPLAY_SLACK`` and
+* **engine captures** — an engine's own capture grows its streams only
+  as far as the run, engines it cannot rebuild faithfully are refused,
+  an unswept run's capture is freed when the run returns (no reference
+  cycle), and a cached artifact keeps its live extension across the
+  replays it serves;
+* **retired switches** — the retired ``REPRO_REPLAY_SLACK`` and
   ``REPRO_NO_REPLAY`` names change neither the artifact key nor a result.
 """
 
@@ -152,10 +156,32 @@ class TestSweepRouting:
         assert replayed == [True]
 
 
-# -- capture slack against the fixtures ----------------------------------------
+# -- continuation routes against the fixtures ---------------------------------
+
+#: How a capture reaches the replay kernel: as the bundle the capture
+#: returned, whose own simulators continue each stream, or saved and loaded
+#: through the sweep's bundle cache, which rebuilds each continuation from
+#: the tape-end checkpoint.
+ROUTES = ("in-memory", "saved")
+
+
+def routed(bundle: cap.CaptureBundle, route: str) -> cap.CaptureBundle:
+    """*bundle* as *route* hands it to the replay kernel."""
+    if route == "in-memory":
+        return bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "replay-route.npz"
+        save_bundle(bundle, path)
+        replaystore._BUNDLES.clear()
+        loaded = replaystore.cached_bundle(path)
+        replaystore._BUNDLES.clear()
+    assert loaded is not None
+    assert all(tape.live_sim is None for tape in loaded.tapes)
+    return loaded
+
 
 #: The capture is policy-blind, so one policy per platform and workload
-#: pins that both slack extremes reproduce the committed records.
+#: pins that both continuation routes reproduce the committed records.
 _RECORD_CASES = [
     ("adapt", "thrash-mix", "base"),
     ("lru", "friendly-mix", "base"),
@@ -164,28 +190,29 @@ _RECORD_CASES = [
 ]
 
 
-class TestCaptureSlack:
-    @pytest.mark.parametrize("slack", [0.0, 1.0])
+class TestContinuationRoutes:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("policy,workload,platform", _RECORD_CASES)
-    def test_replay_matches_fixture(self, policy, workload, platform, slack, monkeypatch):
+    def test_replay_matches_fixture(self, policy, workload, platform, route, monkeypatch):
         # run_case resolves capture_workload from the capture module at
-        # call time, so wrapping the name pins the slack of its capture.
+        # call time, so wrapping the name routes its capture.
         captured = []
         capture_workload = cap.capture_workload
 
-        def with_slack(*args, **kwargs):
-            kwargs["slack"] = slack
-            bundle = capture_workload(*args, **kwargs)
+        def routed_capture(identity):
+            bundle = routed(capture_workload(identity), route)
             captured.append(bundle)
             return bundle
 
-        monkeypatch.setattr(cap, "capture_workload", with_slack)
+        monkeypatch.setattr(cap, "capture_workload", routed_capture)
         expected = _load(policy, workload, platform)
         actual = run_case(
             policy, GOLDEN_WORKLOADS[workload], platform=platform, kernel="replay"
         )
         assert compare_records(expected, actual) == []
-        assert len(captured) == 1 and captured[0].meta["slack"] == slack
+        (bundle,) = captured
+        # A co-runner outlived its quota, so the route's continuation ran.
+        assert any(tape.length > QUOTA + WARMUP for tape in bundle.tapes)
 
 
 # -- determinism ---------------------------------------------------------------
@@ -201,24 +228,29 @@ class TestCaptureDeterminism:
         quota=st.integers(min_value=150, max_value=600),
         warmup=st.integers(min_value=0, max_value=200),
         prefetch=st.booleans(),
-        slack=st.sampled_from([0.0, 0.05, 1.0]),
+        route=st.sampled_from(ROUTES),
     )
     def test_artifacts_are_reproducible(
-        self, benchmarks, seed, quota, warmup, prefetch, slack
+        self, benchmarks, seed, quota, warmup, prefetch, route
     ):
         benchmarks = tuple(benchmarks)
-        identity = cap.job_identity(
-            benchmarks, _config(len(benchmarks), prefetch), quota, warmup, seed
-        )
-        first = cap.capture_workload(identity, slack)
-        second = cap.capture_workload(identity, slack)
+        config = _config(len(benchmarks), prefetch)
+        identity = cap.job_identity(benchmarks, config, quota, warmup, seed)
+        first = cap.capture_workload(identity)
+        second = cap.capture_workload(identity)
         assert _bundle_blob(first) == _bundle_blob(second)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "replay-prop.npz"
-            save_bundle(first, path)
-            loaded = load_bundle(path)
-        assert loaded is not None
-        assert _bundle_blob(loaded) == _bundle_blob(first)
+        first = routed(first, route)
+        assert _bundle_blob(first) == _bundle_blob(second)
+        # Both continue past quota completion to byte-identical tapes.
+        for bundle in (first, second):
+            engine = MulticoreEngine(
+                build_hierarchy(config, "lru"),
+                build_sources(Workload("p", benchmarks), config, seed),
+                quota_per_core=quota,
+                warmup_accesses=warmup,
+            )
+            assert replay.run_replay(engine, bundle, finalize=False) is not None
+        assert _bundle_blob(first) == _bundle_blob(second)
 
 
 # -- capture identity ----------------------------------------------------------
@@ -227,8 +259,8 @@ class TestCaptureDeterminism:
 #: golden budgets and seed 0.  Every stored ``replay-*.npz`` is named by
 #: such a key, so a change here orphans every existing ``traces/`` store.
 PINNED_KEYS = {
-    "base": "63609e52d7ed9cfe880a87ef3af113fc1037fb3e",
-    "prefetch": "bdd81d288351421b1a93fe370ca72aced37e3d3c",
+    "base": "7242ab25e1f1c40ef4d4e9bf9645e1c6bd2fb849",
+    "prefetch": "833caf21cb9c1af3c57fa6a7c49c2283a718dd14",
 }
 
 
@@ -249,25 +281,31 @@ class TestCaptureIdentity:
         # stride degree reads 0 on a platform without stride prefetchers.
         fields = {**job._asdict(), "benchmarks": list(benchmarks)}
         saved = load_meta(ReplayStore(tmp_path).materialise(job))
-        in_memory = cap.capture_workload(cap.engine_identity(engine), 0.0).meta
-        for meta in (saved, in_memory):
-            assert {name: meta[name] for name in job._fields} == fields
-            assert cap.CaptureIdentity.from_meta(meta) == job
+        in_memory = cap.capture_workload(cap.engine_identity(engine)).meta
+        assert saved == in_memory == {"format": cap.CAPTURE_FORMAT, **job.to_meta()}
+        assert {name: saved[name] for name in job._fields} == fields
+        assert cap.CaptureIdentity.from_meta(saved) == job
         if not config.l2_stride_prefetch:
             assert config.l2_prefetch_degree != 0 and job.l2_prefetch_degree == 0
 
-    def test_meta_of_older_builds_reads_degree_zero_without_stride(self):
-        """Older builds saved the configured degree with stride prefetch off;
-        such an artifact still serves the identity it was named by."""
-        job = cap.job_identity(("mcf", "libq"), golden_config(), QUOTA, WARMUP, 0)
-        meta = {**job._asdict(), "l2_prefetch_degree": 2}
-        assert cap.CaptureIdentity.from_meta(meta) == job
+    @pytest.mark.parametrize("platform", sorted(GOLDEN_PLATFORMS))
+    def test_a_saved_artifact_is_the_in_memory_capture(self, platform, tmp_path):
+        """A sweep's saved capture and an unswept run's in-memory capture
+        are one bundle: same streams, markers, checkpoints and meta."""
+        config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
+        job = cap.job_identity(("mcf", "libq"), config, QUOTA, WARMUP, MASTER_SEED)
+        saved = load_bundle(ReplayStore(tmp_path).materialise(job))
+        in_memory = cap.capture_workload(job)
+        assert _bundle_blob(saved) == _bundle_blob(in_memory)
+        for tape in saved.tapes:
+            assert tape.length == QUOTA + WARMUP
+            assert list(tape.checkpoint_index) == [QUOTA + WARMUP]
 
     @pytest.mark.parametrize("platform", sorted(PINNED_KEYS))
     def test_artifact_keys_are_pinned(self, platform):
         config = replace(golden_config(), **GOLDEN_PLATFORMS[platform])
         identity = cap.job_identity(("mcf", "libq"), config, QUOTA, WARMUP, 0)
-        assert replay_key(identity, cap.REPLAY_SLACK) == PINNED_KEYS[platform]
+        assert replay_key(identity) == PINNED_KEYS[platform]
 
     def test_fields_are_named_in_one_module(self):
         """Only :mod:`repro.cpu.capture` spells the identity's platform
@@ -304,7 +342,7 @@ class TestEngineCapture:
     def test_streams_grow_only_as_far_as_the_run(self, benchmarks):
         config = _config(len(benchmarks), True)
         engine = self._engine(config, benchmarks)
-        bundle = cap.capture_workload(cap.engine_identity(engine), 0.0)
+        bundle = cap.capture_workload(cap.engine_identity(engine))
         finish = self.QUOTA + self.WARMUP
         assert all(tape.length == finish for tape in bundle.tapes)
         sims = [tape.live_sim for tape in bundle.tapes]
@@ -356,7 +394,7 @@ class TestEngineCapture:
         config = _config(3, False)
         engine = self._engine(config, benchmarks)
         path = tmp_path / "replay-x.npz"
-        save_bundle(cap.capture_workload(cap.engine_identity(engine), 0.01), path)
+        save_bundle(cap.capture_workload(cap.engine_identity(engine)), path)
         try:
             sims = None
             for policy in ("ship", "lru", "eaf"):
@@ -391,14 +429,14 @@ class TestEngineCapture:
         assert cap.engine_identity(engine) is None
 
 
-# -- fixed slack ---------------------------------------------------------------
+# -- retired switches ----------------------------------------------------------
 
 
 class TestRetiredReplaySwitches:
     def test_env_names_change_neither_key_nor_result(self, tiny_config, monkeypatch):
         """``REPRO_REPLAY_SLACK`` and ``REPRO_NO_REPLAY`` are no longer
         read: a sweep under them captures the same artifact (same content
-        address, ``REPLAY_SLACK`` recorded) and returns the same results."""
+        address) and returns the same results."""
 
         def sweep():
             replaystore._BUNDLES.clear()
@@ -420,7 +458,7 @@ class TestRetiredReplaySwitches:
             return results, artifacts
 
         job = (("mcf", "libq"), tiny_config.with_cores(2), 300, 100, 0)
-        expected_key = replay_key(cap.job_identity(*job), cap.REPLAY_SLACK)
+        expected_key = replay_key(cap.job_identity(*job))
         default = sweep()
         assert default[1] == [f"replay-{expected_key}.npz"]
         monkeypatch.setenv("REPRO_REPLAY_SLACK", "0.9")

@@ -30,6 +30,7 @@ from repro.runner.replaystore import (
 )
 from repro.sim.build import build_hierarchy, build_sources
 from repro.trace.workloads import Workload
+from tests.cpu.test_capture import ROUTES, routed
 
 #: Bound on a loaded bundle's traced heap over its artifact's file size.
 LOADED_BUNDLE_SIZE_RATIO = 1.2
@@ -66,12 +67,12 @@ def bundle():
 
 
 class TestCapture:
-    def test_tape_shape(self, bundle):
-        meta = bundle.meta
-        assert meta["length"] >= QUOTA + WARMUP
+    def test_tape_shape(self):
+        bundle = capture_workload(GOLDEN)
+        assert bundle.meta == {"format": cap.CAPTURE_FORMAT, **GOLDEN.to_meta()}
         for tape in bundle.tapes:
-            assert tape.length == meta["length"]
-            assert len(tape.steps) == meta["length"]
+            # Every core is captured to its quota completion, no further.
+            assert tape.length == len(tape.steps) == QUOTA + WARMUP
             # Events are emitted in nondecreasing access order.
             assert all(
                 a <= b for a, b in zip(tape.ev_step, tape.ev_step[1:])
@@ -80,11 +81,11 @@ class TestCapture:
             assert tape.ev_kind.count(4) == 1
             assert tape.ev_kind.count(5) == 1
             assert tape.baseline is not None and tape.finish is not None
-            # Checkpoints start at quota completion and end at the tape end.
-            assert len(tape.checkpoint_index) == len(tape.checkpoints)
-            assert tape.checkpoint_index[0] == tape.checkpoint(0)["index"] == QUOTA + WARMUP
-            assert tape.checkpoint_index[-1] == meta["length"]
-            assert tape.checkpoint(-1)["index"] == meta["length"]
+            # One checkpoint, at quota completion; the capture's simulator
+            # stays on the tape to continue it.
+            assert list(tape.checkpoint_index) == [QUOTA + WARMUP]
+            assert tape.checkpoint(0)["index"] == QUOTA + WARMUP
+            assert tape.live_sim is not None and tape.live_sim.count == QUOTA + WARMUP
 
     def test_replay_matches_generic_snapshots(self, bundle):
         reference = _engine("ship")
@@ -250,15 +251,15 @@ class TestEligibility:
 
 
 class TestLiveTail:
-    def test_zero_slack_run_extends_tape_and_stays_exact(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_outrunning_core_extends_tape_and_stays_exact(self, route):
         expected = _engine("dip").run()
-        lean = capture_workload(GOLDEN, slack=0.0)
-        assert lean.meta["length"] == QUOTA + WARMUP
+        lean = routed(capture_workload(GOLDEN), route)
         engine = _engine("dip")
         got = run_replay(engine, lean)
         assert got == expected
         # At least one core outran the captured stream and was extended.
-        assert any(tape.length > lean.meta["length"] for tape in lean.tapes)
+        assert any(tape.length > QUOTA + WARMUP for tape in lean.tapes)
         # The extension persists in the bundle: a second replay reuses it.
         lengths = [tape.length for tape in lean.tapes]
         assert run_replay(_engine("dip"), lean) == expected
@@ -294,13 +295,11 @@ class TestLlcSilentCore:
             )
 
         expected = engine("ship").run()
-        bundle = capture_workload(
-            job_identity(("twolf", "mcf"), config, 1200, 300, 0), slack=0.0
-        )
+        bundle = capture_workload(job_identity(("twolf", "mcf"), config, 1200, 300, 0))
         assert run_replay(engine("ship"), bundle) == expected
         tape = bundle.tapes[0]
-        extension = tape.length - bundle.meta["length"]
-        tail_events = sum(1 for s in tape.ev_step if s >= bundle.meta["length"])
+        extension = tape.length - 1500
+        tail_events = sum(1 for s in tape.ev_step if s >= 1500)
         assert extension >= 4096 and tail_events == 0
 
 
@@ -355,8 +354,7 @@ class TestArtifactStore:
         config = golden_config()
         ident = job_identity(BENCHMARKS, config, 200, 50, 0)
         path = store.materialise(ident)
-        assert path == store.path_for(replay_key(ident, cap.REPLAY_SLACK))
-        assert path == tmp_path / f"replay-{replay_key(ident, 0.25)}.npz"
+        assert path == tmp_path / f"replay-{replay_key(ident)}.npz"
         # A second materialise reuses the file: no capture runs.
         monkeypatch.setattr(cap, "capture_workload", None)
         assert store.materialise(ident) == path
@@ -470,7 +468,11 @@ class TestTapeArrays:
             assert a.ev_step == b.ev_step and a.ev_kind == b.ev_kind
             assert a.ev_addr == b.ev_addr and a.ev_pc == b.ev_pc
 
-    def test_checkpoints_stay_encoded(self, bundle, tmp_path):
+    def test_checkpoints_stay_encoded(self, tmp_path):
+        # Extended far enough past quota completion to add checkpoints.
+        bundle = capture_workload(GOLDEN)
+        for core_id in range(len(bundle.tapes)):
+            cap.extend_tape(bundle, core_id, 2 * GOLDEN.chunk)
         path = tmp_path / "replay-x.npz"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
@@ -485,9 +487,9 @@ class TestTapeArrays:
             assert held.checkpoints == fresh.checkpoints
             assert held.checkpoint_index == fresh.checkpoint_index
 
-    def test_only_the_restored_checkpoint_is_decoded(self, bundle, tmp_path, monkeypatch):
+    def test_only_the_restored_checkpoint_is_decoded(self, tmp_path, monkeypatch):
         path = tmp_path / "replay-x.npz"
-        save_bundle(bundle, path)
+        save_bundle(capture_workload(GOLDEN), path)
         # Built before the spy: a default run captures and decodes too.
         expected = _engine("ship")._run_generic()
         decoded = []
@@ -503,11 +505,13 @@ class TestTapeArrays:
         loaded = load_bundle(path)
         assert decoded == []
         assert run_replay(_engine("ship"), loaded, finalize=True) == expected
-        # No core outran its stream, so the finaliser alone decoded: one
-        # checkpoint per core, each at or before that core's stop point.
-        assert all(tape.live_sim is None for tape in loaded.tapes)
-        assert len(decoded) == len(loaded.tapes)
-        for tape, index in zip(loaded.tapes, decoded):
+        # Each core that outran its stream decoded its tape-end checkpoint
+        # once, to rebuild its continuation; the finaliser then decoded
+        # one checkpoint per core, at or before that core's stop point.
+        extended = [tape for tape in loaded.tapes if tape.live_sim is not None]
+        assert extended and len(decoded) == len(extended) + len(loaded.tapes)
+        assert decoded[: len(extended)] == [QUOTA + WARMUP] * len(extended)
+        for tape, index in zip(loaded.tapes, decoded[len(extended) :]):
             assert index in tape.checkpoint_index
 
     def test_save_load_save_is_byte_identical(self, bundle, tmp_path):
@@ -522,10 +526,7 @@ class TestTapeArrays:
 
     def test_extending_a_loaded_bundle_appends_in_place(self, tmp_path):
         path = tmp_path / "replay-lean.npz"
-        save_bundle(
-            capture_workload(GOLDEN, slack=0.0),
-            path,
-        )
+        save_bundle(capture_workload(GOLDEN), path)
         loaded = load_bundle(path)
 
         def columns(tape):
@@ -539,13 +540,15 @@ class TestTapeArrays:
         for tape, old in zip(loaded.tapes, held):
             _assert_compact(tape)
             assert all(a is b for a, b in zip(columns(tape), old))
-            assert len(tape.steps) == tape.length == loaded.meta["length"] + chunk
+            assert len(tape.steps) == tape.length == QUOTA + WARMUP + chunk
         assert sum(len(t.ev_step) for t in loaded.tapes) > sum(before)
-        # The appended events are exactly what a longer capture records.
-        slack = -(-chunk // (QUOTA + WARMUP))
-        longer = capture_workload(GOLDEN, slack)
-        for tape, ref in zip(loaded.tapes, longer.tapes):
-            n = len(tape.ev_step)
-            assert tape.events_array().tobytes() == ref.events_array()[:n].tobytes()
-            assert n == len(ref.ev_step) or ref.ev_step[n] >= tape.length
+        # The appended streams are exactly what the capture's own
+        # simulators record when they continue in memory.
+        reference = capture_workload(GOLDEN)
+        for core_id in range(len(reference.tapes)):
+            cap.extend_tape(reference, core_id, chunk)
+        for tape, ref in zip(loaded.tapes, reference.tapes):
+            assert tape.steps == ref.steps
+            assert tape.events_array().tobytes() == ref.events_array().tobytes()
+            assert tape.checkpoints == ref.checkpoints
         assert run_replay(_engine("ship"), loaded) == _engine("ship").run()

@@ -112,6 +112,11 @@ class TestCommandsThatDoNotSimulate:
         )
         assert (tmp_path / "snapshot.json").is_file()  # the report really ran
         assert sorted(m for m in modules if m.startswith("repro.cpu")) == []
+        # Decoding a stored job needs the policy spec, not the policy zoo,
+        # and no trace generator.
+        policies = sorted(m for m in modules if m.startswith("repro.policies."))
+        assert policies == ["repro.policies.spec"]
+        assert not {"repro.trace.benchmarks", "repro.trace.workloads"} & modules
 
 
 def _fill_tiny_store(store: ResultStore) -> None:

@@ -1,7 +1,7 @@
 """Property-based equivalence: LLC-filtered replay vs the generic loop.
 
 Hypothesis draws random run parameters — workload mix, master seed,
-budgets, prefetch shape, capture slack — and the same platform is
+budgets, prefetch shape, continuation route — and the same platform is
 executed once on the generic reference loop and once as capture + replay.  The
 *internal LLC policy state* must match element for element (SHCT
 counters, signature/outcome arrays, Bloom-filter bits, Footprint sampler
@@ -10,8 +10,11 @@ the per-core snapshots and the full LLC stats block.
 
 This is a sharper check than the golden differential alone: random
 budgets move the warm-up boundary, the completion skew and the interval
-clock across event-group shapes the committed fixtures never pin, and a
-tiny random slack forces the live-tail continuation path.  A second
+clock across event-group shapes the committed fixtures never pin.  Every
+capture stops at quota completion, so each run's co-runner continues its
+stream live: on the capture's own simulator when the bundle is replayed
+in memory, or on one rebuilt from the tape-end checkpoint when it is
+saved and loaded first, the route a policy sweep takes.  A second
 property pins replay against the generic reference loop, per-set LLC
 residency (addresses, dirty bits, owners, reuse bits, occupancy)
 included.
@@ -31,6 +34,7 @@ from repro.cpu.replay import run_replay
 from repro.golden import golden_config
 from repro.sim.build import build_hierarchy, build_sources
 from repro.trace.workloads import Workload
+from tests.cpu.test_capture import ROUTES, routed
 from tests.policies.test_fastops_property import _policy_state
 
 #: Every inline family plus a wrapper composition (pure ``_CALL`` dispatch).
@@ -78,17 +82,18 @@ def _observe(engine, snapshots):
     quota=st.integers(min_value=150, max_value=600),
     warmup=st.integers(min_value=0, max_value=200),
     prefetch=st.booleans(),
-    slack=st.sampled_from((0.0, 0.05, 1.0)),
+    route=st.sampled_from(ROUTES),
 )
 def test_replay_matches_generic_policy_state(
-    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, slack
+    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, route
 ):
     benchmarks = (bench_a, bench_b)
     reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     expected = _observe(reference, reference._run_generic())
 
-    bundle = capture_workload(
-        job_identity(benchmarks, _config(prefetch), quota, warmup, seed), slack=slack
+    bundle = routed(
+        capture_workload(job_identity(benchmarks, _config(prefetch), quota, warmup, seed)),
+        route,
     )
     engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     replayed = run_replay(engine, bundle)
@@ -116,17 +121,18 @@ def _observe_residency(engine, snapshots):
     quota=st.integers(min_value=150, max_value=600),
     warmup=st.integers(min_value=0, max_value=200),
     prefetch=st.booleans(),
-    slack=st.sampled_from((0.0, 0.05, 1.0)),
+    route=st.sampled_from(ROUTES),
 )
 def test_replay_matches_generic_residency(
-    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, slack
+    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, route
 ):
     benchmarks = (bench_a, bench_b)
     reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     expected = _observe_residency(reference, reference._run_generic())
 
-    bundle = capture_workload(
-        job_identity(benchmarks, _config(prefetch), quota, warmup, seed), slack=slack
+    bundle = routed(
+        capture_workload(job_identity(benchmarks, _config(prefetch), quota, warmup, seed)),
+        route,
     )
     engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
     replayed = run_replay(engine, bundle)

@@ -13,7 +13,8 @@ from repro.policies.spec import PolicySpec
 from repro.report.aggregate import gather, report_from_store
 from repro.runner import SCHEMA_VERSION, ResultStore
 from repro.targets.registry import TargetSpec
-from repro.report.tables import render_report, render_win_matrix
+from repro.report.bench import build_snapshot
+from repro.report.tables import render_ranked, render_report, render_win_matrix
 from repro.util.stats import geometric_mean
 
 
@@ -244,6 +245,15 @@ class TestTargetBindings:
         identities = report.data.identities
         assert sum(f"tgt:toy={self.SMALL.key}" in i for i in identities) == 2
         assert sum(f"tgt:toy={self.LARGE.key}" in i for i in identities) == 2
+
+    def test_header_factors_multiply_to_the_cell_count(self, synth):
+        """Each binding is its own workload slot in the ranking header,
+        while the snapshot still names the one workload slot."""
+        self._fill(synth)
+        report = report_from_store(synth.store, n_resamples=50)
+        header = render_ranked(report).splitlines()[0]
+        assert "4 cells (2 policies x 2 workload slots x 1 seeds)" in header
+        assert build_snapshot(report)["workload_slots"] == ["mix-0"]
 
 
 class TestStorePass:

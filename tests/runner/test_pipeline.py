@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import settings
-from repro.cpu.capture import REPLAY_SLACK, job_identity
+from repro.cpu.capture import job_identity
 from repro.runner import AloneJob, ParallelRunner, ResultStore, WorkloadJob
 from repro.runner import parallel, replaystore
 from repro.runner.replaystore import ReplayStore, replay_key
@@ -72,7 +72,7 @@ def _artifact(root, job) -> str:
     identity = job_identity(
         job.benchmarks, job.config, job.quota, job.warmup, job.master_seed
     )
-    return str(ReplayStore(root).path_for(replay_key(identity, REPLAY_SLACK)))
+    return str(ReplayStore(root).path_for(replay_key(identity)))
 
 
 def _record_routes(monkeypatch, n: int) -> dict:
@@ -236,7 +236,7 @@ class TestCaptureFailureDegradation:
         )
         # The fault grammar splits on ":", so match on the hex key alone —
         # it only ever appears in the capture job's "capture:<key>" key.
-        ckey = replay_key(identity, REPLAY_SLACK)
+        ckey = replay_key(identity)
 
         loaded = []
         load_bundle = replaystore.load_bundle

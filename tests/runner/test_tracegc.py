@@ -61,24 +61,28 @@ class TestCollectGarbage:
         assert report.freed_bytes == 128
         assert not orphan_trace.exists() and not orphan_replay.exists()
 
-    def test_replay_artifacts_survive_a_slack_change(self, populated_store):
-        """Artifacts are matched by their embedded capture identity, so a
-        capture written with another slack (which changes the content
-        address) is kept while a stored result references its identity."""
+    def test_a_referenced_capture_under_another_address_is_removed(
+        self, populated_store
+    ):
+        """Artifacts are kept by address: a sound capture of an identity a
+        stored result references, saved under a name no runner looks up
+        (as older builds that hashed more into the address left them), is
+        removed with its sidecar."""
         from repro.cpu.capture import capture_workload, job_identity
         from repro.runner.replaystore import replay_key, save_bundle
 
         traces = populated_store / "traces"
         config = SystemConfig.scaled(16).with_cores(2)
         identity = job_identity(("mcf", "libq"), config, 300, 80, 0)
-        other = traces / f"replay-{replay_key(identity, 0.9)}.npz"
-        save_bundle(capture_workload(identity, slack=0.9), other)
+        (current,) = traces.glob("replay-*.npz")
+        assert current.name == f"replay-{replay_key(identity)}.npz"
+        other = traces / ("replay-" + "e1" * 20 + ".npz")
+        save_bundle(capture_workload(identity), other)
         write_checksum(other)
-        before = {p.name for p in traces.glob("replay-*.npz")}
-        assert len(before) == 2 and other.name in before
         report = collect_garbage(populated_store)
-        assert report.removed == []
-        assert {p.name for p in traces.glob("replay-*.npz")} == before
+        assert sorted(report.removed) == [other.name, f"{other.name}.sha256"]
+        assert report.kept == [current.name] and report.corrupt == []
+        assert [p.name for p in traces.glob("replay-*.npz")] == [current.name]
 
     def test_stale_tmp_files_are_pruned_after_grace(self, populated_store):
         import os
@@ -221,7 +225,7 @@ def _save_format1(bundle, traces: Path) -> Path:
         meta["master_seed"],
     )
     key = json.dumps(
-        {"v": 1, "identity": list(identity), "slack": meta["slack"]},
+        {"v": 1, "identity": list(identity), "slack": 0.25},
         sort_keys=True,
         separators=(",", ":"),
     )
