@@ -6,9 +6,12 @@ policy; this kernel consumes a capture bundle (:mod:`repro.cpu.capture`)
 — per-core step streams, LLC-bound event streams and private-state
 checkpoints recorded once — and simulates only:
 
-* the shared LLC (any policy, through the
-  :class:`~repro.cpu.fastpath.LlcDispatch` inline plan), the
-  bank/DRAM/arbiter/MSHR/write-back timing models, and
+* the shared LLC (any policy: the hooks its
+  :class:`~repro.policies.base.FastPathOps` declare inline run here as
+  straight-line code, the rest stay method calls), the
+  bank/DRAM/arbiter/MSHR/write-back timing models — demand and prefetch
+  fetches take one LLC-and-below path, as in the generic hierarchy, and
+  differ only in the LLC hit/miss bookkeeping — and
 * each core's clock: the generic loop's exact floating-point recurrence
   re-executed over the recorded step codes, with the demand-fetch
   completion time feeding back into the stall term.
@@ -40,20 +43,14 @@ from heapq import heappop, heappush
 
 from repro.cpu import capture as cap
 from repro.cpu.core import CoreSnapshot
-from repro.cpu.fastpath import (
-    _ADAPT,
-    _CALL,
-    _EV_CALL,
-    _EV_EAF,
-    _EV_SHIP,
-    _MASK64,
-    _RRIP,
-    _SHIP,
-    _STACK,
-    resolve_llc_dispatch,
-)
-from repro.policies.base import BYPASS
+from repro.policies.base import BYPASS, ReplacementPolicy
 
+#: Inline-dispatch modes for the LLC hit/victim/fill hooks.
+_CALL, _RRIP, _STACK, _SHIP, _ADAPT = 0, 1, 2, 3, 4
+#: Inline-dispatch modes for the LLC eviction hook.
+_EV_NONE, _EV_CALL, _EV_SHIP, _EV_EAF = 0, 1, 2, 3
+
+_MASK64 = (1 << 64) - 1
 
 #: Event/step codes shared with the capture pass — aliased (and hoisted to
 #: closure locals below) so a renumbering in :mod:`repro.cpu.capture`
@@ -107,27 +104,55 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
     llc_by, llc_wbarr = s3.bypasses, s3.writeback_arrivals
     llc_ev, llc_dev, llc_fl = s3.evictions, s3.dirty_evictions, s3.fills
 
+    # Hooks the policy's FastPathOps leave at known implementations run
+    # inline below; overridden ones stay method calls.
     policy = llc.policy
-    d = resolve_llc_dispatch(policy)
-    call_on_miss = d.call_on_miss
-    hit_mode = d.hit_mode
-    victim_mode = d.victim_mode
-    fill_mode = d.fill_mode
-    evict_mode = d.evict_mode
-    rows3 = d.rows
-    nmru3, nlru3 = d.next_mru, d.next_lru
-    max3 = d.max_code
-    sig3, out3, shct3 = d.ship_sigs, d.ship_outcomes, d.shct
-    shct_max3 = d.shct_max
-    sig_entries3 = d.shct_entries
-    sig_bits3 = d.sig_bits
-    sig_mask3 = d.sig_mask
-    salt3 = d.sig_salt_shift
-    eaf3 = d.eaf
-    eaf_mults3 = d.eaf_mults
-    eaf_size3, eaf_cap3 = d.eaf_size, d.eaf_capacity
-    samplers3 = d.samplers
-    duel_roles3, duel_psels3 = d.duel_roles, d.duel_psels
+    ops = policy.fast_ops()
+    cls = type(policy)
+    call_on_miss = cls.on_miss is not ReplacementPolicy.on_miss
+    evict_mode = _EV_CALL if cls.on_evict is not ReplacementPolicy.on_evict else _EV_NONE
+    hit_mode = victim_mode = fill_mode = _CALL
+    rows3 = nmru3 = nlru3 = None
+    max3 = 0
+    sig3 = out3 = shct3 = salt3 = None
+    shct_max3 = sig_entries3 = sig_bits3 = sig_mask3 = 0
+    eaf3 = None
+    eaf_mults3 = ()
+    eaf_size3 = eaf_cap3 = 0
+    samplers3 = duel_roles3 = duel_psels3 = None
+    if ops is not None:
+        kind = ops.kind
+        base_mode = _STACK if kind == "stack" else _RRIP
+        if ops.hit_inline:
+            hit_mode = _SHIP if kind == "ship" else _ADAPT if kind == "adapt" else base_mode
+        if ops.victim_inline:
+            victim_mode = base_mode
+        if ops.fill_inline:
+            fill_mode = _SHIP if kind == "ship" else base_mode
+        if ops.evict_inline and kind == "ship":
+            evict_mode = _EV_SHIP
+        elif ops.evict_inline and kind == "eaf":
+            evict_mode = _EV_EAF
+        rows3, nmru3, nlru3, max3 = ops.rows, ops.next_mru, ops.next_lru, ops.max_code
+        if kind == "ship":
+            sig3, out3, shct3 = ops.ship_sigs, ops.ship_outcomes, ops.shct
+            shct_max3 = ops.shct_max
+            sig_entries3 = ops.shct_entries
+            sig_bits3 = ops.sig_bits
+            sig_mask3 = (1 << sig_bits3) - 1
+            salt3 = ops.sig_salt_shift
+        elif kind == "eaf":
+            eaf3 = ops.eaf_filter
+            eaf_mults3 = tuple(eaf3._MULTIPLIERS[: eaf3.num_hashes])
+            eaf_size3, eaf_cap3 = eaf3.size, eaf3.capacity
+        elif kind == "adapt":
+            samplers3 = ops.samplers
+        if ops.miss_inline:
+            # Duelling PSEL movement executes inline; the PSEL object's
+            # ``value`` is written through so decide_insertion (a call)
+            # observes every update.
+            call_on_miss = False
+            duel_roles3, duel_psels3 = ops.duel_roles, ops.duel_psels
     p_on_hit = policy.on_hit
     p_on_miss = policy.on_miss
     p_on_evict = policy.on_evict
@@ -292,8 +317,8 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
         def llc_fill(addr, s, pc, decision, is_write, is_demand):
             """Select a victim if needed and install *addr* in the LLC.
 
-            The single fill sequence both LLC miss flavours share (demand
-            reads and L2-victim write-backs); returns
+            The single fill sequence every LLC miss shares (demand and
+            prefetch fetches, L2-victim write-backs); returns
             ``(victim_addr, victim_dirty)``.
             """
             victim_addr = -1
@@ -432,107 +457,11 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             elif victim_dirty:
                 wb_to_dram(victim_addr, start)
 
-        def nondemand_llc(addr, pc, now):
-            """The LLC-and-below half of ``fetch_nondemand`` (arbiter on)."""
-            nonlocal arb_reqs, arb_throt, bank_accs, bank_confs
-            nonlocal mshr_merged, mshr_stalls
-            nonlocal dram_reads, dram_rowhits, dram_rowconf
-            t_l2 = now + l1_latency
-            t_in = t_l2 + l2_latency
-            arb_reqs += 1
-            vclock = arb_virtual[cid]
-            start = t_in
-            earliest = vclock - arb_window
-            if earliest > t_in:
-                start = earliest
-                arb_throt += 1
-            base_v = vclock if vclock > start else start
-            arb_virtual[cid] = base_v + arb_cost
+        def llc_fetch(addr, pc, now, demand):
+            """The LLC-and-below half of a demand or prefetch fetch.
 
-            s = addr & llc_mask
-            way = llc_get(addr, -1)
-            llc_hit = way >= 0
-            victim_addr = -1
-            victim_dirty = False
-            if llc_hit:
-                llc_oh[cid] += 1
-                if hit_mode == _CALL:
-                    p_on_hit(s, way, cid, False, addr)
-            else:
-                llc_om[cid] += 1
-                if call_on_miss:
-                    p_on_miss(s, cid, False)
-                decision = p_decide(s, cid, pc, addr, False)
-                if decision is BYPASS:
-                    llc_by[cid] += 1
-                else:
-                    victim_addr, victim_dirty = llc_fill(
-                        addr, s, pc, decision, False, False
-                    )
-            bank = (addr & bank_mask) ^ ((addr >> 8) & bank_mask)
-            bstart = bank_free[bank]
-            if bstart > start:
-                bank_confs += 1
-            else:
-                bstart = start
-            bank_free[bank] = bstart + bank_occ
-            bank_accs += 1
-            t_bank = bstart + bank_lat
-            if llc_hit:
-                return
-            if victim_dirty:
-                wb_to_dram(victim_addr, t_bank)
-
-            t_dram = t_bank
-            if mshr is not None:
-                done = msh_get(addr)
-                if done is not None and done > t_bank:
-                    mshr_merged += 1
-                    return
-                while msh_heap and msh_heap[0] <= t_dram:
-                    heappop(msh_heap)
-                if not msh_heap:
-                    msh_by.clear()
-                elif len(msh_by) > 2 * len(msh_heap):
-                    keep = {blk: tt for blk, tt in msh_by.items() if tt > t_dram}
-                    msh_by.clear()
-                    msh_by.update(keep)
-                if len(msh_heap) >= msh_entries:
-                    t_dram = msh_heap[0]
-                    mshr_stalls += 1
-                    while msh_heap and msh_heap[0] <= t_dram:
-                        heappop(msh_heap)
-                    if not msh_heap:
-                        msh_by.clear()
-                    elif len(msh_by) > 2 * len(msh_heap):
-                        keep = {
-                            blk: tt for blk, tt in msh_by.items() if tt > t_dram
-                        }
-                        msh_by.clear()
-                        msh_by.update(keep)
-            dram_reads += 1
-            dram_row = addr // dram_bpr
-            bank = (dram_row & dram_mask) ^ ((dram_row >> 8) & dram_mask)
-            dstart = dram_busy[bank]
-            if dstart < t_dram:
-                dstart = t_dram
-            if dram_open[bank] == dram_row:
-                latency = dram_hit
-                dram_rowhits += 1
-            else:
-                latency = dram_conf
-                dram_rowconf += 1
-                dram_open[bank] = dram_row
-            dram_busy[bank] = dstart + dram_occ
-            done = dstart + latency
-            if mshr is not None:
-                heappush(msh_heap, done)
-                msh_by[addr] = done
-
-        def demand_llc(addr, pc, now):
-            """The LLC-and-below half of ``fetch_below`` (arbiter on).
-
-            Returns ``(completion_time, llc_demand_miss)``.
+            Returns ``(completion_time, llc_demand_miss)``; only the LLC
+            hit/miss bookkeeping depends on *demand*.
             """
             nonlocal arb_reqs, arb_throt, bank_accs, bank_confs
             nonlocal mshr_merged, mshr_stalls
@@ -555,49 +484,59 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             victim_addr = -1
             victim_dirty = False
             if llc_hit:
-                llc_dh[cid] += 1
-                llc_reused[s][way] = True
-                if hit_mode == _RRIP:
-                    rows3[s][way] = 0
-                elif hit_mode == _SHIP:
-                    rows3[s][way] = 0
-                    out3[s][way] = True
-                    sg = sig3[s][way]
-                    v = shct3[sg]
-                    if v < shct_max3:
-                        shct3[sg] = v + 1
-                elif hit_mode == _ADAPT:
-                    rows3[s][way] = 0
-                    ai = mon_get(s)
-                    if ai is not None:
-                        smp3.samples += 1
-                        mon_arrays[ai].observe(addr // llc_sets)
-                elif hit_mode == _STACK:
-                    st = nmru3[s]
-                    rows3[s][way] = st
-                    nmru3[s] = st + 1
+                if demand:
+                    llc_dh[cid] += 1
+                    llc_reused[s][way] = True
+                    if hit_mode == _RRIP:
+                        rows3[s][way] = 0
+                    elif hit_mode == _SHIP:
+                        rows3[s][way] = 0
+                        out3[s][way] = True
+                        sg = sig3[s][way]
+                        v = shct3[sg]
+                        if v < shct_max3:
+                            shct3[sg] = v + 1
+                    elif hit_mode == _ADAPT:
+                        rows3[s][way] = 0
+                        ai = mon_get(s)
+                        if ai is not None:
+                            smp3.samples += 1
+                            mon_arrays[ai].observe(addr // llc_sets)
+                    elif hit_mode == _STACK:
+                        st = nmru3[s]
+                        rows3[s][way] = st
+                        nmru3[s] = st + 1
+                    else:
+                        p_on_hit(s, way, cid, True, addr)
                 else:
-                    p_on_hit(s, way, cid, True, addr)
+                    llc_oh[cid] += 1
+                    if hit_mode == _CALL:
+                        p_on_hit(s, way, cid, False, addr)
             else:
-                llc_dm[cid] += 1
-                if d_psel is not None:
-                    role = d_get(s, -1)
-                    if role == 0:
-                        v = d_psel.value + 1
-                        if v <= d_max:
-                            d_psel.value = v
-                    elif role == 1:
-                        v = d_psel.value - 1
-                        if v >= 0:
-                            d_psel.value = v
-                elif call_on_miss:
-                    p_on_miss(s, cid, True)
-                decision = p_decide(s, cid, pc, addr, True)
+                if demand:
+                    llc_dm[cid] += 1
+                    if d_psel is not None:
+                        role = d_get(s, -1)
+                        if role == 0:
+                            v = d_psel.value + 1
+                            if v <= d_max:
+                                d_psel.value = v
+                        elif role == 1:
+                            v = d_psel.value - 1
+                            if v >= 0:
+                                d_psel.value = v
+                    elif call_on_miss:
+                        p_on_miss(s, cid, True)
+                else:
+                    llc_om[cid] += 1
+                    if call_on_miss:
+                        p_on_miss(s, cid, False)
+                decision = p_decide(s, cid, pc, addr, demand)
                 if decision is BYPASS:
                     llc_by[cid] += 1
                 else:
                     victim_addr, victim_dirty = llc_fill(
-                        addr, s, pc, decision, False, True
+                        addr, s, pc, decision, False, demand
                     )
             bank = (addr & bank_mask) ^ ((addr >> 8) & bank_mask)
             bstart = bank_free[bank]
@@ -618,7 +557,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
                 done = msh_get(addr)
                 if done is not None and done > t_bank:
                     mshr_merged += 1
-                    return done, True
+                    return done, demand
                 while msh_heap and msh_heap[0] <= t_dram:
                     heappop(msh_heap)
                 if not msh_heap:
@@ -658,7 +597,7 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             if mshr is not None:
                 heappush(msh_heap, done)
                 msh_by[addr] = done
-            return done, True
+            return done, demand
 
         # -- the clock + event cursor ----------------------------------------
 
@@ -730,20 +669,20 @@ def run_replay(engine, bundle, finalize: bool = True) -> list | None:
             nxt = ev_step[p1] if p1 < n_ev else -1
             if k == ev_demand and nxt != e:
                 # Overwhelmingly common group shape: one demand fetch.
-                done, demand_missed = demand_llc(ev_addr[p], ev_pc[p], t)
+                done, demand_missed = llc_fetch(ev_addr[p], ev_pc[p], t, True)
                 p = p1
             else:
                 done = 0.0
                 demand_missed = False
                 while True:
                     if k == ev_demand:
-                        done, demand_missed = demand_llc(ev_addr[p], ev_pc[p], t)
+                        done, demand_missed = llc_fetch(ev_addr[p], ev_pc[p], t, True)
                     elif k == ev_wb0:
                         wb_to_llc(ev_addr[p], t)
                     elif k == ev_wb1:
                         wb_to_llc(ev_addr[p], t + l1_latency)
                     elif k == ev_nd:
-                        nondemand_llc(ev_addr[p], ev_pc[p], t)
+                        llc_fetch(ev_addr[p], ev_pc[p], t, False)
                     elif k == ev_baseline:
                         saw_baseline = True
                     else:

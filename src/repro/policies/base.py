@@ -51,9 +51,9 @@ BYPASS: Any = object()
 class FastPathOps:
     """Narrow fast-path protocol: preallocated per-set replacement metadata.
 
-    The replay kernel (:mod:`repro.cpu.replay`, through
-    :func:`repro.cpu.fastpath.resolve_llc_dispatch`) asks each LLC policy
-    for its :class:`FastPathOps` via :meth:`ReplacementPolicy.fast_ops`.  A
+    The replay kernel (:func:`repro.cpu.replay.run_replay`) asks each LLC
+    policy for its :class:`FastPathOps` via :meth:`ReplacementPolicy.fast_ops`
+    once per run and maps them onto its inline-dispatch modes.  A
     policy that opts in exposes the *same* per-set integer arrays its object
     API mutates, plus flags saying which of the hot hooks (demand-hit
     promotion, victim selection, fill, eviction training, duel-miss

@@ -281,18 +281,22 @@ class ParallelRunner:
     ) -> tuple[list[tuple[str, dict]], dict[str, tuple[str, str]]]:
         """The capture jobs of a miss batch, and each swept job's route.
 
-        A *sweep* is two or more miss jobs sharing one capture identity —
-        same workload, private-level platform and budgets, different LLC
-        policy.  Returns one ``(capture key, worker payload)`` per sweep,
-        and ``{sim key: (capture key, artifact path)}`` for every swept
-        job.  The capture key and the artifact name both carry the
-        identity's :func:`replay_key`, the address ``traces gc`` keeps
-        the artifact by.  Both are empty when the batch's *record* pins
-        the generic loop (``REPRO_NO_FASTPATH``), when nothing is swept,
-        or when the store root is unavailable — every one of which runs
-        the batch without replay.
+        A *sweep* is the miss jobs sharing one capture identity — same
+        workload, private-level platform and budgets, different LLC
+        policy — when there are two or more of them, or when the
+        identity's artifact is already on disk (a lone miss then replays
+        it instead of capturing in memory).  Returns one ``(capture key,
+        worker payload)`` per sweep, and ``{sim key: (capture key,
+        artifact path)}`` for every swept job.  The capture key and the
+        artifact name both carry the identity's :func:`replay_key`, the
+        address ``traces gc`` keeps the artifact by.  Both are empty when
+        the batch's *record* pins the generic loop
+        (``REPRO_NO_FASTPATH``), when nothing is swept, or when the store
+        root is unavailable — every one of which runs the batch without
+        replay.
         """
-        if len(misses) < 2 or record.no_fastpath:
+        # A batch served wholly from the store loads no capture module.
+        if not misses or record.no_fastpath:
             return [], {}
         from repro.cpu.capture import job_identity
 
@@ -303,7 +307,17 @@ class ParallelRunner:
                     job.traces(), job.config, job.quota, job.warmup, job.master_seed
                 )
                 sweeps.setdefault(identity, []).append((key, job))
-        swept = {ident: members for ident, members in sweeps.items() if len(members) >= 2}
+        # Where a lone miss's artifact may already be; a runner-lifetime
+        # temporary root is not created just to look.
+        on_disk = None
+        if (self.store is not None and self.use_cache) or self._trace_tmpdir is not None:
+            on_disk = ReplayStore(self.traces_root())
+        swept = {
+            identity: members
+            for identity, members in sweeps.items()
+            if len(members) >= 2
+            or (on_disk is not None and on_disk.path_for(replay_key(identity)).is_file())
+        }
         if not swept:
             return [], {}
         try:

@@ -1,7 +1,8 @@
 """Property-based equivalence: LLC-filtered replay vs the generic loop.
 
 Hypothesis draws random run parameters — workload mix, master seed,
-budgets, prefetch shape, continuation route — and the same platform is
+budgets, prefetch shape, MSHR file size, write-back buffer shape,
+monitoring-interval length, continuation route — and the same platform is
 executed once on the generic reference loop and once as capture + replay.  The
 *internal LLC policy state* must match element for element (SHCT
 counters, signature/outcome arrays, Bloom-filter bits, Footprint sampler
@@ -10,7 +11,9 @@ the per-core snapshots and the full LLC stats block.
 
 This is a sharper check than the golden differential alone: random
 budgets move the warm-up boundary, the completion skew and the interval
-clock across event-group shapes the committed fixtures never pin.  Every
+clock across event-group shapes the committed fixtures never pin, and the
+small MSHR files, one-entry write-back buffers and short intervals reach
+the merge, stall and interval-tick paths the golden platform never does.  Every
 capture stops at quota completion, so each run's co-runner continues its
 stream live: on the capture's own simulator when the bundle is replayed
 in memory, or on one rebuilt from the tape-end checkpoint when it is
@@ -43,15 +46,32 @@ REPLAY_POLICIES = ("lru", "dip", "tadrrip", "ship", "eaf", "adapt_bp32", "tadrri
 BENCH_POOL = ("mcf", "libq", "gcc", "calc", "astar")
 
 
-def _config(prefetch):
-    config = golden_config()
+#: MSHR file sizes: one entry, a few, and the default.
+MSHR_ENTRIES = (1, 4, 256)
+#: Write-back buffer ``(entries, retire_at)`` per level: one-entry buffers,
+#: or the platform defaults.
+WB_SHAPES = ((1, 1), None)
+#: Monitoring-interval lengths in LLC misses: several ticks a run, or few.
+INTERVALS = (100, 1500)
+
+
+def _config(prefetch, mshr, wb, interval):
+    config = replace(golden_config(), llc_mshr_entries=mshr, interval_misses=interval)
+    if wb is not None:
+        entries, retire_at = wb
+        config = replace(
+            config,
+            l2_wb_entries=entries,
+            l2_wb_retire_at=retire_at,
+            llc_wb_entries=entries,
+            llc_wb_retire_at=retire_at,
+        )
     if prefetch:
         config = replace(config, l1_next_line_prefetch=True, l2_stride_prefetch=True)
     return config
 
 
-def _engine(policy_name, benchmarks, seed, quota, warmup, prefetch):
-    config = _config(prefetch)
+def _engine(policy_name, benchmarks, seed, quota, warmup, config):
     hierarchy = build_hierarchy(config, policy_name)
     sources = build_sources(Workload("prop", benchmarks), config, seed)
     return MulticoreEngine(
@@ -82,20 +102,23 @@ def _observe(engine, snapshots):
     quota=st.integers(min_value=150, max_value=600),
     warmup=st.integers(min_value=0, max_value=200),
     prefetch=st.booleans(),
+    mshr=st.sampled_from(MSHR_ENTRIES),
+    wb=st.sampled_from(WB_SHAPES),
+    interval=st.sampled_from(INTERVALS),
     route=st.sampled_from(ROUTES),
 )
 def test_replay_matches_generic_policy_state(
-    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, route
+    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, mshr, wb, interval, route
 ):
     benchmarks = (bench_a, bench_b)
-    reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    config = _config(prefetch, mshr, wb, interval)
+    reference = _engine(policy_name, benchmarks, seed, quota, warmup, config)
     expected = _observe(reference, reference._run_generic())
 
     bundle = routed(
-        capture_workload(job_identity(benchmarks, _config(prefetch), quota, warmup, seed)),
-        route,
+        capture_workload(job_identity(benchmarks, config, quota, warmup, seed)), route
     )
-    engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    engine = _engine(policy_name, benchmarks, seed, quota, warmup, config)
     replayed = run_replay(engine, bundle)
     assert replayed is not None, "platform must be replay eligible"
     assert _observe(engine, replayed) == expected
@@ -121,20 +144,23 @@ def _observe_residency(engine, snapshots):
     quota=st.integers(min_value=150, max_value=600),
     warmup=st.integers(min_value=0, max_value=200),
     prefetch=st.booleans(),
+    mshr=st.sampled_from(MSHR_ENTRIES),
+    wb=st.sampled_from(WB_SHAPES),
+    interval=st.sampled_from(INTERVALS),
     route=st.sampled_from(ROUTES),
 )
 def test_replay_matches_generic_residency(
-    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, route
+    policy_name, bench_a, bench_b, seed, quota, warmup, prefetch, mshr, wb, interval, route
 ):
     benchmarks = (bench_a, bench_b)
-    reference = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    config = _config(prefetch, mshr, wb, interval)
+    reference = _engine(policy_name, benchmarks, seed, quota, warmup, config)
     expected = _observe_residency(reference, reference._run_generic())
 
     bundle = routed(
-        capture_workload(job_identity(benchmarks, _config(prefetch), quota, warmup, seed)),
-        route,
+        capture_workload(job_identity(benchmarks, config, quota, warmup, seed)), route
     )
-    engine = _engine(policy_name, benchmarks, seed, quota, warmup, prefetch)
+    engine = _engine(policy_name, benchmarks, seed, quota, warmup, config)
     replayed = run_replay(engine, bundle)
     assert replayed is not None, "platform must be replay eligible"
     assert _observe_residency(engine, replayed) == expected

@@ -192,6 +192,22 @@ class TestRouting:
         assert Path(expected).stat().st_mtime_ns == mtime
         assert runner.stats["bundle_loads"] == 1
 
+    def test_a_lone_miss_replays_the_artifact_on_disk(self, tiny_config, tmp_path, monkeypatch):
+        """One new policy after a warm sweep is a one-job batch: it replays
+        the sweep's artifact instead of capturing its workload in memory."""
+        store = ResultStore(tmp_path)
+        ParallelRunner(jobs=1, store=store).run(_sweep(tiny_config, ("lru", "ship")))
+        expected = _artifact(tmp_path / "traces", _sweep(tiny_config, ("lru",))[0])
+        mtime = Path(expected).stat().st_mtime_ns
+        jobs = _sweep(tiny_config, ("adapt",))
+        handed = _record_routes(monkeypatch, 1)
+        replaystore._BUNDLES.clear()  # as in a fresh invocation
+        runner = ParallelRunner(jobs=1, store=store)
+        assert runner.run(jobs) == _direct(jobs)
+        assert handed == {jobs[0].cache_key(): expected}
+        assert Path(expected).stat().st_mtime_ns == mtime
+        assert runner.stats["bundle_loads"] == 1
+
     @pytest.mark.parametrize("n", [1, 2], ids=["inline", "pool"])
     def test_runners_with_different_stores_stay_apart(
         self, tiny_config, tmp_path, monkeypatch, n

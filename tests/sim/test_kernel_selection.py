@@ -9,7 +9,8 @@ switch) combination through :func:`repro.sim.multi.run_workload`, observes
 which kernels actually ran, pins the switch's value semantics (any
 non-empty value sets it), checks that every resolution produces the
 generic loop's result — including the degraded routes (a foreign bundle,
-a damaged artifact) — and scans ``src/`` to keep the choice in one place.
+a damaged artifact) — and scans ``src/`` to keep the choice in one place
+and each private name in the module that defines it.
 """
 
 from __future__ import annotations
@@ -257,3 +258,27 @@ def test_kernel_choice_lives_in_one_place():
         "repro/cpu/engine:MulticoreEngine.run",
         "repro/runner/parallel:ParallelRunner._plan_captures",
     }
+
+
+#: ``(importing module, imported name)`` pairs allowed to cross a module
+#: boundary: the benchmark tracer's hook on the trace layer.
+PRIVATE_IMPORTS_ALLOWED = {("repro/trace/shared", "_build_source")}
+
+
+def test_a_private_name_lives_in_one_module():
+    """No module under ``src/repro`` imports an underscore-prefixed name
+    from another ``repro`` module: a name one module marks private is read
+    and written there alone."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC.parent).with_suffix("").as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level == 0 and source != "repro" and not source.startswith("repro."):
+                continue
+            found.update(
+                (module, alias.name) for alias in node.names if alias.name.startswith("_")
+            )
+    assert found == PRIVATE_IMPORTS_ALLOWED
